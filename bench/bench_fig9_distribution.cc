@@ -17,7 +17,7 @@ data::Table MakeTable(const std::string& family, std::size_t n, std::size_t m,
                       std::int64_t domain, Rng* rng) {
   std::vector<data::MarginSpec> specs;
   for (std::size_t j = 0; j < m; ++j) {
-    const std::string name = "x" + std::to_string(j);
+    const std::string name = std::string("x").append(std::to_string(j));
     if (family == "gaussian") {
       specs.push_back(data::MarginSpec::Gaussian(name, domain));
     } else if (family == "uniform") {

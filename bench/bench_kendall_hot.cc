@@ -1,5 +1,6 @@
 // Hot-path benchmark for DPCopula-Kendall estimation (Alg. 4/5): the
-// legacy one-comparator-sort-per-pair kernel against the rank-cache
+// legacy one-comparator-sort-per-pair kernel (the Knight's-algorithm
+// reference estimator in tests/reference) against the rank-cache
 // production kernel (per-column rank structures built once; contingency
 // table or counting-sort + merge-count per pair, reusable per-thread
 // workspaces). Rows/sec is reported via SetItemsProcessed so
@@ -16,6 +17,7 @@
 #include "copula/kendall_estimator.h"
 #include "data/generator.h"
 #include "data/table.h"
+#include "reference/kendall.h"
 #include "stats/kendall.h"
 
 namespace {
@@ -23,7 +25,7 @@ namespace {
 using dpcopula::Rng;
 using dpcopula::copula::EstimateKendallCorrelation;
 using dpcopula::copula::KendallEstimatorOptions;
-using dpcopula::stats::TauKernel;
+using dpcopula::reference::EstimateKendallCorrelationKnight;
 
 constexpr std::size_t kRows = 1'000'000;
 constexpr std::size_t kDims = 10;
@@ -45,7 +47,7 @@ const dpcopula::data::Table& Fixture(std::int64_t domain) {
     specs.reserve(kDims);
     for (std::size_t j = 0; j < kDims; ++j) {
       specs.push_back(dpcopula::data::MarginSpec::Gaussian(
-          "a" + std::to_string(j), d));
+          std::string("a").append(std::to_string(j)), d));
     }
     auto corr = dpcopula::data::Equicorrelation(kDims, 0.4);
     return *dpcopula::data::GenerateGaussianDependent(specs, *corr, kRows,
@@ -59,15 +61,14 @@ const dpcopula::data::Table& Fixture(std::int64_t domain) {
 }
 
 void RunEstimator(benchmark::State& state, std::int64_t domain,
-                  TauKernel kernel, int threads) {
+                  auto* estimate, int threads) {
   const auto& table = Fixture(domain);
   KendallEstimatorOptions options;
   options.subsample = false;  // Measure the full-n estimation cost.
-  options.kernel = kernel;
   options.num_threads = threads;
   for (auto _ : state) {
     Rng rng(7);
-    auto est = EstimateKendallCorrelation(table, 1.0, &rng, options);
+    auto est = estimate(table, 1.0, &rng, options);
     if (!est.ok()) state.SkipWithError(est.status().ToString().c_str());
     benchmark::DoNotOptimize(est);
   }
@@ -76,12 +77,12 @@ void RunEstimator(benchmark::State& state, std::int64_t domain,
 }
 
 void BM_KendallHot_Legacy(benchmark::State& state) {
-  RunEstimator(state, kDomain, TauKernel::kLegacy, 1);
+  RunEstimator(state, kDomain, &EstimateKendallCorrelationKnight, 1);
 }
 BENCHMARK(BM_KendallHot_Legacy)->Unit(benchmark::kMillisecond);
 
 void BM_KendallHot_RankCache(benchmark::State& state) {
-  RunEstimator(state, kDomain, TauKernel::kRankCache,
+  RunEstimator(state, kDomain, &EstimateKendallCorrelation,
                static_cast<int>(state.range(0)));
 }
 BENCHMARK(BM_KendallHot_RankCache)
@@ -91,12 +92,12 @@ BENCHMARK(BM_KendallHot_RankCache)
     ->Unit(benchmark::kMillisecond);
 
 void BM_KendallHotWide_Legacy(benchmark::State& state) {
-  RunEstimator(state, kWideDomain, TauKernel::kLegacy, 1);
+  RunEstimator(state, kWideDomain, &EstimateKendallCorrelationKnight, 1);
 }
 BENCHMARK(BM_KendallHotWide_Legacy)->Unit(benchmark::kMillisecond);
 
 void BM_KendallHotWide_RankCache(benchmark::State& state) {
-  RunEstimator(state, kWideDomain, TauKernel::kRankCache,
+  RunEstimator(state, kWideDomain, &EstimateKendallCorrelation,
                static_cast<int>(state.range(0)));
 }
 BENCHMARK(BM_KendallHotWide_RankCache)

@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/rng.h"
 #include "copula/kendall_estimator.h"
@@ -16,6 +17,7 @@
 #include "hist/wavelet.h"
 #include "linalg/cholesky.h"
 #include "marginals/efpa.h"
+#include "reference/kendall.h"
 #include "stats/distributions.h"
 #include "stats/empirical_cdf.h"
 #include "stats/kendall.h"
@@ -47,7 +49,8 @@ BENCHMARK(BM_KendallTauFast)->Range(1 << 8, 1 << 16)->Complexity();
 void BM_KendallTauBruteForce(benchmark::State& state) {
   const auto [x, y] = MakePair(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dpcopula::stats::KendallTauBruteForce(x, y));
+    benchmark::DoNotOptimize(
+        dpcopula::reference::KendallTauBruteForce(x, y));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -126,7 +129,7 @@ void BM_SampleSynthetic(benchmark::State& state) {
   dpcopula::data::Schema schema{[] {
     std::vector<dpcopula::data::Attribute> attrs;
     for (std::size_t j = 0; j < 8; ++j) {
-      attrs.push_back({"x" + std::to_string(j), 1000});
+      attrs.push_back({std::string("x").append(std::to_string(j)), 1000});
     }
     return attrs;
   }()};
@@ -206,7 +209,7 @@ void BM_KendallEstimatorThreads(benchmark::State& state) {
   std::vector<dpcopula::data::MarginSpec> specs;
   for (int j = 0; j < 8; ++j) {
     specs.push_back(dpcopula::data::MarginSpec::Gaussian(
-        "x" + std::to_string(j), 1000));
+        std::string("x").append(std::to_string(j)), 1000));
   }
   auto table = dpcopula::data::GenerateGaussianDependent(
       specs, dpcopula::data::Ar1Correlation(8, 0.5), 20000, &data_rng);

@@ -1,8 +1,9 @@
 // Hot-path benchmark for DPCopula-MLE estimation (Alg. 2): the legacy
 // per-partition Table::Zeros + PseudoObservations + NormalScores pipeline
-// against the batched production kernel (one rank sort per column shared by
-// all l partitions, one batched Phi^-1 per distinct value bin, flat
-// reusable workspaces, 256-row blocked correlation). Rows/sec is reported
+// (the reference estimator in tests/reference) against the batched
+// production kernel (one rank sort per column shared by all l partitions,
+// one batched Phi^-1 per distinct value bin, flat reusable workspaces,
+// 256-row blocked correlation). Rows/sec is reported
 // via SetItemsProcessed so tools/bench_to_json extracts items_per_second
 // into BENCH_mle.json. The acceptance configuration is m = 10, N = 1M,
 // epsilon2 = 1 (the paper's rule picks l = 1800, b = 555), single thread:
@@ -18,13 +19,14 @@
 #include "copula/mle_estimator.h"
 #include "data/generator.h"
 #include "data/table.h"
+#include "reference/mle.h"
 
 namespace {
 
 using dpcopula::Rng;
 using dpcopula::copula::EstimateMleCorrelation;
 using dpcopula::copula::MleEstimatorOptions;
-using dpcopula::copula::MleKernel;
+using dpcopula::reference::EstimateMleCorrelationPerPartition;
 
 constexpr std::size_t kRows = 1'000'000;
 constexpr std::size_t kDims = 10;
@@ -47,7 +49,7 @@ const dpcopula::data::Table& Fixture(std::int64_t domain) {
     specs.reserve(kDims);
     for (std::size_t j = 0; j < kDims; ++j) {
       specs.push_back(dpcopula::data::MarginSpec::Gaussian(
-          "a" + std::to_string(j), d));
+          std::string("a").append(std::to_string(j)), d));
     }
     auto corr = dpcopula::data::Equicorrelation(kDims, 0.4);
     return *dpcopula::data::GenerateGaussianDependent(specs, *corr, kRows,
@@ -61,14 +63,13 @@ const dpcopula::data::Table& Fixture(std::int64_t domain) {
 }
 
 void RunEstimator(benchmark::State& state, std::int64_t domain,
-                  MleKernel kernel, int threads) {
+                  auto* estimate, int threads) {
   const auto& table = Fixture(domain);
   MleEstimatorOptions options;
-  options.kernel = kernel;
   options.num_threads = threads;
   for (auto _ : state) {
     Rng rng(7);
-    auto est = EstimateMleCorrelation(table, 1.0, &rng, options);
+    auto est = estimate(table, 1.0, &rng, options);
     if (!est.ok()) state.SkipWithError(est.status().ToString().c_str());
     benchmark::DoNotOptimize(est);
   }
@@ -77,12 +78,12 @@ void RunEstimator(benchmark::State& state, std::int64_t domain,
 }
 
 void BM_MleHot_Legacy(benchmark::State& state) {
-  RunEstimator(state, kDomain, MleKernel::kLegacy, 1);
+  RunEstimator(state, kDomain, &EstimateMleCorrelationPerPartition, 1);
 }
 BENCHMARK(BM_MleHot_Legacy)->Unit(benchmark::kMillisecond);
 
 void BM_MleHot_Batched(benchmark::State& state) {
-  RunEstimator(state, kDomain, MleKernel::kBatched,
+  RunEstimator(state, kDomain, &EstimateMleCorrelation,
                static_cast<int>(state.range(0)));
 }
 BENCHMARK(BM_MleHot_Batched)
@@ -92,12 +93,13 @@ BENCHMARK(BM_MleHot_Batched)
     ->Unit(benchmark::kMillisecond);
 
 void BM_MleHotWide_Legacy(benchmark::State& state) {
-  RunEstimator(state, kWideDomain, MleKernel::kLegacy, 1);
+  RunEstimator(state, kWideDomain, &EstimateMleCorrelationPerPartition,
+               1);
 }
 BENCHMARK(BM_MleHotWide_Legacy)->Unit(benchmark::kMillisecond);
 
 void BM_MleHotWide_Batched(benchmark::State& state) {
-  RunEstimator(state, kWideDomain, MleKernel::kBatched,
+  RunEstimator(state, kWideDomain, &EstimateMleCorrelation,
                static_cast<int>(state.range(0)));
 }
 BENCHMARK(BM_MleHotWide_Batched)

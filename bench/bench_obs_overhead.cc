@@ -146,7 +146,7 @@ int RunSamplerBudget(std::size_t rows) {
   std::vector<data::Attribute> attrs;
   std::vector<stats::EmpiricalCdf> cdfs;
   for (std::size_t j = 0; j < kDims; ++j) {
-    attrs.push_back({"x" + std::to_string(j), 64});
+    attrs.push_back({std::string("x").append(std::to_string(j)), 64});
     std::vector<double> counts(64);
     for (std::size_t v = 0; v < counts.size(); ++v) {
       counts[v] = static_cast<double>(v + 1);

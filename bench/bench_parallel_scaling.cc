@@ -75,7 +75,7 @@ int main() {
     for (std::size_t j = 0; j < m; ++j) {
       std::vector<double> counts(256, 1.0);
       cdfs.push_back(*stats::EmpiricalCdf::FromCounts(counts));
-      attrs.push_back({"x" + std::to_string(j), 256});
+      attrs.push_back({std::string("x").append(std::to_string(j)), 256});
     }
     const data::Schema schema(attrs);
     const linalg::Matrix corr = data::Ar1Correlation(m, 0.5);

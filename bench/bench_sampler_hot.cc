@@ -1,6 +1,7 @@
 // Hot-path benchmark for Algorithm 3's sampling kernel: the legacy scalar
 // pipeline (polar Gaussian + per-row triangular multiply + per-cell
-// std::lower_bound inversion) against the tiled production pipeline
+// std::lower_bound inversion; the reference sampler in tests/reference)
+// against the tiled production pipeline
 // (ziggurat fill + blocked Cholesky + guide-table inversion). Rows/sec is
 // reported via SetItemsProcessed, so google-benchmark's items_per_second
 // field is the figure of merit that tools/bench_to_json extracts into
@@ -16,15 +17,15 @@
 #include "copula/sampler.h"
 #include "data/generator.h"
 #include "data/schema.h"
+#include "reference/rng.h"
+#include "reference/sampler.h"
 #include "stats/empirical_cdf.h"
 
 namespace {
 
-using dpcopula::GaussianMethod;
 using dpcopula::Rng;
 using dpcopula::copula::SampleSyntheticData;
 using dpcopula::copula::SampleSyntheticDataT;
-using dpcopula::copula::SamplerKernel;
 
 struct Fixture {
   dpcopula::data::Schema schema;
@@ -63,9 +64,8 @@ void BM_SamplerHot_Legacy(benchmark::State& state) {
   const auto fx = MakeFixture(kDims, kDomain);
   for (auto _ : state) {
     Rng rng(42);
-    rng.set_gaussian_method(GaussianMethod::kPolar);
-    auto out = SampleSyntheticData(fx.schema, fx.cdfs, fx.corr, kRows, &rng,
-                                   1, SamplerKernel::kLegacy);
+    auto out = dpcopula::reference::SampleSyntheticDataPerRow(
+        fx.schema, fx.cdfs, fx.corr, kRows, &rng, 1);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -79,7 +79,7 @@ void BM_SamplerHot_Tiled(benchmark::State& state) {
   for (auto _ : state) {
     Rng rng(42);
     auto out = SampleSyntheticData(fx.schema, fx.cdfs, fx.corr, kRows, &rng,
-                                   threads, SamplerKernel::kTiled);
+                                   threads);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -96,7 +96,7 @@ void BM_SamplerHotT_Tiled(benchmark::State& state) {
   for (auto _ : state) {
     Rng rng(42);
     auto out = SampleSyntheticDataT(fx.schema, fx.cdfs, fx.corr, 6.0,
-                                    kRows / 4, &rng, 1, SamplerKernel::kTiled);
+                                    kRows / 4, &rng, 1);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -104,13 +104,14 @@ void BM_SamplerHotT_Tiled(benchmark::State& state) {
 }
 BENCHMARK(BM_SamplerHotT_Tiled)->Unit(benchmark::kMillisecond);
 
+// polar:0 is Rng's ziggurat, polar:1 the reference polar method.
 void BM_GaussianDraw(benchmark::State& state) {
   Rng rng(7);
-  rng.set_gaussian_method(state.range(0) == 0 ? GaussianMethod::kZiggurat
-                                              : GaussianMethod::kPolar);
+  dpcopula::reference::PolarGaussian polar(&rng);
+  const bool use_polar = state.range(0) != 0;
   double acc = 0.0;
   for (auto _ : state) {
-    acc += rng.NextGaussian();
+    acc += use_polar ? polar.Next() : rng.NextGaussian();
   }
   benchmark::DoNotOptimize(acc);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

@@ -83,8 +83,8 @@ inline data::Table MakeGaussianTable(std::size_t n, std::size_t m,
   std::vector<data::MarginSpec> specs;
   specs.reserve(m);
   for (std::size_t j = 0; j < m; ++j) {
-    specs.push_back(
-        data::MarginSpec::Gaussian("x" + std::to_string(j), domain));
+    specs.push_back(data::MarginSpec::Gaussian(
+        std::string("x").append(std::to_string(j)), domain));
   }
   return *data::GenerateGaussianDependent(specs, data::Ar1Correlation(m, 0.5),
                                           n, rng);

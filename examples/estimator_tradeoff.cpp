@@ -20,8 +20,8 @@ int main() {
   const linalg::Matrix truth = data::Ar1Correlation(m, 0.6);
   std::vector<data::MarginSpec> margins;
   for (std::size_t j = 0; j < m; ++j) {
-    margins.push_back(
-        data::MarginSpec::Gaussian("x" + std::to_string(j), 1000));
+    margins.push_back(data::MarginSpec::Gaussian(
+        std::string("x").append(std::to_string(j)), 1000));
   }
   auto table = data::GenerateGaussianDependent(margins, truth, 100000, &rng);
   if (!table.ok()) return 1;

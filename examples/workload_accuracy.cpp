@@ -21,8 +21,8 @@ int main() {
   // dense histogram, routine for DPCopula and PSD.
   std::vector<data::MarginSpec> margins;
   for (int j = 0; j < 4; ++j) {
-    margins.push_back(
-        data::MarginSpec::Gaussian("x" + std::to_string(j), 500));
+    margins.push_back(data::MarginSpec::Gaussian(
+        std::string("x").append(std::to_string(j)), 500));
   }
   auto table = data::GenerateGaussianDependent(
       margins, data::Ar1Correlation(4, 0.5), 30000, &rng);

@@ -66,22 +66,98 @@ class FirstFailure {
   Status status_ = Status::OK();
 };
 
+/// Exact tau of every pair from per-column rank caches, counting the pairs
+/// the contingency-table kernel serves in `*contingency_pairs`.
+Result<std::vector<double>> RankCacheTaus(
+    const std::vector<const std::vector<double>*>& cols,
+    const std::vector<std::pair<std::size_t, std::size_t>>& pairs,
+    int num_threads, std::int64_t* contingency_pairs) {
+  static obs::Counter* const contingency_counter =
+      obs::MetricsRegistry::Global().GetCounter("kendall.contingency_pairs");
+
+  // Shared per-column rank caches: one O(n log n) sort per column, reused
+  // by all m-1 pairs touching it. Columns are independent, so the builds
+  // run on the pool.
+  const std::size_t m = cols.size();
+  std::vector<stats::RankColumn> ranks(m);
+  {
+    obs::Span rank_span("kendall.rank_build");
+    FirstFailure rank_failure;
+    ParallelFor(
+        0, m, /*grain=*/1,
+        [&](std::size_t begin, std::size_t end) {
+          for (std::size_t j = begin; j < end; ++j) {
+            obs::StageScope stage(obs::Stage::kRankCacheBuild);
+            auto built = stats::BuildRankColumn(*cols[j]);
+            if (!built.ok()) {
+              rank_failure.Record(j, built.status());
+              continue;
+            }
+            ranks[j] = std::move(built).ValueOrDie();
+          }
+        },
+        num_threads);
+    if (rank_failure.failed()) return rank_failure.status();
+  }
+
+  const auto n_used = static_cast<std::uint64_t>(cols[0]->size());
+  for (const auto& [j, k] : pairs) {
+    if (stats::UseContingencyKernel(n_used, ranks[j].num_distinct,
+                                    ranks[k].num_distinct)) {
+      ++*contingency_pairs;
+    }
+  }
+
+  // One pair per shard on the shared pool; the noise streams were split
+  // off beforehand, so the result is bit-identical for any thread count.
+  // On failure every pair still runs (no early exit) so the propagated
+  // status — the lowest-index pair's — is the same at every thread count.
+  std::vector<double> taus(pairs.size(), 0.0);
+  FirstFailure pair_failure;
+  ParallelFor(
+      0, pairs.size(), /*grain=*/1,
+      [&](std::size_t begin, std::size_t end) {
+        // Per-thread reusable workspace: grows to the high-water mark on
+        // the first pair this worker sees, then every later pair (in this
+        // call and any future estimate) runs allocation-free.
+        static thread_local stats::TauWorkspace workspace;
+        for (std::size_t i = begin; i < end; ++i) {
+          obs::StageScope stage(obs::Stage::kTauPairs);
+          if (DPC_FAILPOINT_AT("kendall.pair_tau", i)) {
+            pair_failure.Record(
+                i, failpoint::InjectedFault("kendall.pair_tau"));
+            continue;
+          }
+          Result<double> tau = stats::KendallTauFromRanks(
+              ranks[pairs[i].first], ranks[pairs[i].second], &workspace);
+          if (!tau.ok()) {
+            pair_failure.Record(i, tau.status());
+            continue;
+          }
+          taus[i] = *tau;
+        }
+      },
+      num_threads);
+  if (pair_failure.failed()) return pair_failure.status();
+  contingency_counter->Add(*contingency_pairs);
+  return taus;
+}
+
 }  // namespace
+
+namespace internal {
 
 Result<KendallEstimate> EstimateKendallCorrelation(
     const data::Table& table, double epsilon2, Rng* rng,
-    const KendallEstimatorOptions& options) {
+    const KendallEstimatorOptions& options, const PairTausFn& pair_taus) {
   static obs::Counter* const pairs_counter =
       obs::MetricsRegistry::Global().GetCounter("kendall.pairs_computed");
-  static obs::Counter* const contingency_counter =
-      obs::MetricsRegistry::Global().GetCounter("kendall.contingency_pairs");
   static obs::Counter* const subsampled_runs =
       obs::MetricsRegistry::Global().GetCounter("kendall.subsampled_runs");
   static obs::Counter* const repairs_counter =
       obs::MetricsRegistry::Global().GetCounter("kendall.psd_repairs");
   static obs::Gauge* const subsample_gauge =
       obs::MetricsRegistry::Global().GetGauge("kendall.subsample_rows");
-  obs::Span estimate_span("kendall.estimate");
 
   const std::size_t m = table.num_columns();
   const auto n = static_cast<std::int64_t>(table.num_rows());
@@ -138,32 +214,6 @@ Result<KendallEstimate> EstimateKendallCorrelation(
     }
   }
 
-  // Shared per-column rank caches (production kernel): one O(n log n) sort
-  // per column, reused by all m-1 pairs touching it — O(m n log n) total
-  // against the legacy kernel's sort-per-pair O(m^2 n log n). Columns are
-  // independent, so the builds run on the pool.
-  std::vector<stats::RankColumn> ranks;
-  if (options.kernel == stats::TauKernel::kRankCache) {
-    obs::Span rank_span("kendall.rank_build");
-    ranks.resize(m);
-    FirstFailure rank_failure;
-    ParallelFor(
-        0, m, /*grain=*/1,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t j = begin; j < end; ++j) {
-            obs::StageScope stage(obs::Stage::kRankCacheBuild);
-            auto built = stats::BuildRankColumn(*cols[j]);
-            if (!built.ok()) {
-              rank_failure.Record(j, built.status());
-              continue;
-            }
-            ranks[j] = std::move(built).ValueOrDie();
-          }
-        },
-        options.num_threads);
-    if (rank_failure.failed()) return rank_failure.status();
-  }
-
   // Lemma 4.1: sensitivity of one pairwise tau is 4 / (n_used + 1); each of
   // the C(m,2) coefficients receives epsilon2 / C(m,2) (Theorem 4.2).
   const double num_pairs = static_cast<double>(m) * (m - 1) / 2.0;
@@ -171,71 +221,18 @@ Result<KendallEstimate> EstimateKendallCorrelation(
   const double scale = num_pairs * sensitivity / epsilon2;
 
   // Enumerate the C(m,2) pairs and pre-derive one RNG stream per pair from
-  // the caller's generator; the result is then independent of the thread
-  // count (bit-identical sequential vs parallel).
-  struct Pair {
-    std::size_t j, k;
-    Rng rng;
-  };
-  std::vector<Pair> pairs;
+  // the caller's generator, before any tau is computed; the noise is then
+  // independent of how the tau kernel schedules its work.
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  std::vector<Rng> pair_rngs;
   for (std::size_t j = 0; j < m; ++j) {
     for (std::size_t k = j + 1; k < m; ++k) {
-      pairs.push_back({j, k, rng->Split()});
+      pairs.emplace_back(j, k);
+      pair_rngs.push_back(rng->Split());
     }
   }
-
-  // One pair per shard on the shared pool: each pair already owns its split
-  // RNG, so the result is bit-identical for any thread count. On failure
-  // every pair still runs (no early exit) so the propagated status — the
-  // lowest-index pair's — is the same at every thread count.
-  std::vector<double> rhos(pairs.size(), 0.0);
-  std::int64_t contingency_pairs = 0;
-  if (options.kernel == stats::TauKernel::kRankCache) {
-    for (const Pair& pair : pairs) {
-      if (stats::UseContingencyKernel(
-              static_cast<std::uint64_t>(n_used),
-              ranks[pair.j].num_distinct, ranks[pair.k].num_distinct)) {
-        ++contingency_pairs;
-      }
-    }
-  }
-  FirstFailure pair_failure;
-  ParallelFor(
-      0, pairs.size(), /*grain=*/1,
-      [&](std::size_t begin, std::size_t end) {
-        // Per-thread reusable workspace: grows to the high-water mark on
-        // the first pair this worker sees, then every later pair (in this
-        // call and any future estimate) runs allocation-free.
-        static thread_local stats::TauWorkspace workspace;
-        for (std::size_t i = begin; i < end; ++i) {
-          Pair& pair = pairs[i];
-          Result<double> tau = [&]() -> Result<double> {
-            obs::StageScope stage(obs::Stage::kTauPairs);
-            return DPC_FAILPOINT_AT("kendall.pair_tau", i)
-                       ? Result<double>(
-                             failpoint::InjectedFault("kendall.pair_tau"))
-                       : (options.kernel == stats::TauKernel::kRankCache
-                              ? stats::KendallTauFromRanks(
-                                    ranks[pair.j], ranks[pair.k], &workspace)
-                              : stats::KendallTau(*cols[pair.j],
-                                                  *cols[pair.k]));
-          }();
-          if (!tau.ok()) {
-            pair_failure.Record(i, tau.status());
-            continue;
-          }
-          obs::StageScope noise_stage(obs::Stage::kLaplaceNoise);
-          double noisy_tau = *tau + stats::SampleLaplace(&pair.rng, scale);
-          // Clamping into the valid tau range is post-processing and costs
-          // no privacy.
-          noisy_tau = std::clamp(noisy_tau, -1.0, 1.0);
-          rhos[i] = std::sin(M_PI / 2.0 * noisy_tau);  // Eq. (4).
-        }
-      },
-      options.num_threads);
-  if (pair_failure.failed()) return pair_failure.status();
+  DPC_ASSIGN_OR_RETURN(const std::vector<double> taus, pair_taus(cols, pairs));
   pairs_counter->Add(static_cast<std::int64_t>(pairs.size()));
-  contingency_counter->Add(contingency_pairs);
 
   // Accumulate the correlation build in packed lower-triangular form —
   // one store per coefficient instead of a mirrored pair — and expand to
@@ -243,7 +240,14 @@ Result<KendallEstimate> EstimateKendallCorrelation(
   linalg::PackedSymmetric packed(m);
   for (std::size_t j = 0; j < m; ++j) packed.at(j, j) = 1.0;
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    packed.at(pairs[i].k, pairs[i].j) = rhos[i];  // Pairs have j < k.
+    obs::StageScope noise_stage(obs::Stage::kLaplaceNoise);
+    double noisy_tau = taus[i] + stats::SampleLaplace(&pair_rngs[i], scale);
+    // Clamping into the valid tau range is post-processing and costs no
+    // privacy.
+    noisy_tau = std::clamp(noisy_tau, -1.0, 1.0);
+    // Eq. (4); pairs have j < k.
+    packed.at(pairs[i].second, pairs[i].first) =
+        std::sin(M_PI / 2.0 * noisy_tau);
   }
   linalg::Matrix p = packed.ToMatrix();
 
@@ -251,7 +255,6 @@ Result<KendallEstimate> EstimateKendallCorrelation(
   est.rows_used = n_used;
   est.per_pair_epsilon = epsilon2 / num_pairs;
   est.laplace_scale = scale;
-  est.contingency_pairs = contingency_pairs;
   est.repaired = !linalg::IsPositiveDefinite(p);
   {
     obs::Span repair_span("psd_repair");
@@ -262,6 +265,26 @@ Result<KendallEstimate> EstimateKendallCorrelation(
     DPC_ASSIGN_OR_RETURN(est.correlation,
                          linalg::EnsureCorrelationMatrix(p, repair_options));
   }
+  return est;
+}
+
+}  // namespace internal
+
+Result<KendallEstimate> EstimateKendallCorrelation(
+    const data::Table& table, double epsilon2, Rng* rng,
+    const KendallEstimatorOptions& options) {
+  obs::Span estimate_span("kendall.estimate");
+  std::int64_t contingency_pairs = 0;
+  DPC_ASSIGN_OR_RETURN(
+      KendallEstimate est,
+      internal::EstimateKendallCorrelation(
+          table, epsilon2, rng, options,
+          [&](const std::vector<const std::vector<double>*>& cols,
+              const std::vector<std::pair<std::size_t, std::size_t>>& pairs) {
+            return RankCacheTaus(cols, pairs, options.num_threads,
+                                 &contingency_pairs);
+          }));
+  est.contingency_pairs = contingency_pairs;
   return est;
 }
 

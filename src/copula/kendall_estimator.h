@@ -2,6 +2,9 @@
 #define DPCOPULA_COPULA_KENDALL_ESTIMATOR_H_
 
 #include <cstdint>
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include "common/result.h"
 #include "common/rng.h"
@@ -30,14 +33,6 @@ struct KendallEstimatorOptions {
   /// hardware concurrency, <= 1 = sequential.
   int num_threads = 1;
 
-  /// Which pairwise tau kernel to run. kRankCache (production) builds one
-  /// rank structure per column — O(m n log n) total — and serves every
-  /// pair from the shared caches; kLegacy re-sorts per pair (O(m^2
-  /// n log n)) and is kept for old-vs-new equivalence tests. Both produce
-  /// bit-identical noisy output (the exact taus and the per-pair noise
-  /// streams agree).
-  stats::TauKernel kernel = stats::TauKernel::kRankCache;
-
   /// Eigensolver kernel for the PSD-repair step (see linalg::EigenKernel).
   /// kTridiagQL is the high-dimension production path; kJacobi is the
   /// verbatim legacy solver kept for agreement tests. The repair also
@@ -53,7 +48,7 @@ struct KendallEstimate {
   double laplace_scale = 0.0;     // Noise scale applied to each tau.
   bool repaired = false;          // True if eigenvalue PSD repair fired.
   /// Pairs served by the contingency-table kernel (the rest took the
-  /// merge-count path). Always 0 under TauKernel::kLegacy.
+  /// merge-count path).
   std::int64_t contingency_pairs = 0;
 };
 
@@ -62,9 +57,34 @@ struct KendallEstimate {
 /// sin(pi/2 * tau) transform (Eq. 4), and the Rousseeuw–Molenberghs
 /// eigenvalue repair when the noisy matrix is not positive definite.
 /// Consumes `epsilon2` in total across all C(m,2) coefficients.
+///
+/// The exact taus come from per-column rank caches (stats::RankColumn):
+/// one O(n log n) sort per column, shared by every pair touching it, for
+/// O(m n log n) in total. The per-pair Knight's-algorithm estimator these
+/// replaced lives in tests/reference and must release the same matrix bit
+/// for bit.
 Result<KendallEstimate> EstimateKendallCorrelation(
     const data::Table& table, double epsilon2, Rng* rng,
     const KendallEstimatorOptions& options = {});
+
+namespace internal {
+
+/// Exact tau of every column pair of Algorithm 5's working sample: `cols`
+/// are its columns (the subsample, or the table's own columns at full
+/// size) and the result holds one tau per entry of `pairs`, in order.
+using PairTausFn = std::function<Result<std::vector<double>>(
+    const std::vector<const std::vector<double>*>& cols,
+    const std::vector<std::pair<std::size_t, std::size_t>>& pairs)>;
+
+/// EstimateKendallCorrelation with the exact-tau kernel supplied by the
+/// caller; the subsample, Laplace noise, sine transform and PSD repair are
+/// shared. Lets tests run the estimator on a reference tau kernel.
+/// `contingency_pairs` is left at 0.
+Result<KendallEstimate> EstimateKendallCorrelation(
+    const data::Table& table, double epsilon2, Rng* rng,
+    const KendallEstimatorOptions& options, const PairTausFn& pair_taus);
+
+}  // namespace internal
 
 /// The paper's adequate subsample size: ceil(50 m (m-1) / epsilon2).
 std::int64_t AdequateKendallSampleSize(std::size_t m, double epsilon2);

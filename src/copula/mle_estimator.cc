@@ -11,7 +11,6 @@
 #include "common/failpoint.h"
 #include "common/parallel.h"
 #include "copula/gaussian_copula.h"
-#include "copula/pseudo_obs.h"
 #include "linalg/cholesky.h"
 #include "linalg/packed_symmetric.h"
 #include "linalg/psd_repair.h"
@@ -89,8 +88,9 @@ std::int64_t LlroundFast(double v) {
 }
 
 /// Per-partition failure word: the smallest (column, kind) code wins so the
-/// reported status matches kLegacy, where PseudoObservations surfaces the
-/// first failing column. kind 0 = bad domain_size, 1 = value out of range.
+/// reported status matches the per-partition PseudoObservations loop (the
+/// reference kernel), which surfaces the first failing column. kind 0 = bad
+/// domain_size, 1 = value out of range.
 constexpr std::int64_t kPartitionOk = std::numeric_limits<std::int64_t>::max();
 
 void RecordPartitionFailure(std::atomic<std::int64_t>& state,
@@ -102,8 +102,8 @@ void RecordPartitionFailure(std::atomic<std::int64_t>& state,
 }
 
 Status PartitionFailureStatus(std::int64_t code) {
-  // Messages mirror EmpiricalCdf::FromData, which is what fails under
-  // kLegacy.
+  // Messages mirror EmpiricalCdf::FromData, which is what fails in the
+  // per-partition PseudoObservations loop.
   if (code % 2 == 0) {
     return Status::InvalidArgument("EmpiricalCdf: domain_size must be > 0");
   }
@@ -132,7 +132,7 @@ Status BuildColumnScores(const std::vector<double>& col, std::int64_t domain,
                          std::vector<std::atomic<std::int64_t>>& part_fail) {
   const auto rows_used = static_cast<std::size_t>(l * b);
   if (domain <= 0) {
-    // kLegacy: every partition's FromData fails before scanning values.
+    // Every partition's FromData would fail before scanning values.
     const auto code = static_cast<std::int64_t>(j) * 2;
     for (auto& state : part_fail) RecordPartitionFailure(state, code);
     return Status::OK();
@@ -309,21 +309,97 @@ Status BuildColumnScores(const std::vector<double>& col, std::int64_t domain,
   return Status::OK();
 }
 
+/// The batched partition-fit kernel. Phase 1 (per column): a counting
+/// pass per partition block derives the pseudo-observations from histogram
+/// prefix sums, batched Phi^-1 per distinct value bin, normal scores
+/// written into a flat column-major buffer. Phase 2 (per partition):
+/// blocked correlation over zero-copy column slices. Both phases are
+/// deterministic for any thread count.
+Result<internal::PartitionFits> FitPartitionsBatched(
+    const data::Table& table, std::int64_t l, std::int64_t b,
+    int num_threads, obs::SpanId estimate_span_id) {
+  static obs::Histogram* const fit_seconds =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "mle.partition_fit_seconds");
+  const std::size_t m = table.num_columns();
+  const auto rows_used = static_cast<std::size_t>(l * b);
+  std::vector<double> scores(m * rows_used);
+  std::vector<std::atomic<std::int64_t>> part_fail(
+      static_cast<std::size_t>(l));
+  for (auto& state : part_fail) {
+    state.store(kPartitionOk, std::memory_order_relaxed);
+  }
+  std::vector<Status> col_status(m, Status::OK());
+  {
+    obs::Span pseudo_span("mle.pseudo_obs", estimate_span_id);
+    ParallelFor(
+        0, m, /*grain=*/1,
+        [&](std::size_t begin, std::size_t end) {
+          for (std::size_t j = begin; j < end; ++j) {
+            col_status[j] = BuildColumnScores(
+                table.column(j), table.schema().attribute(j).domain_size, l,
+                b, j, scores.data() + j * rows_used, part_fail);
+          }
+        },
+        num_threads);
+  }
+  for (std::size_t j = 0; j < m; ++j) {
+    // Whole-estimate failure (non-finite or oversized column): nothing
+    // rank-based can be computed. Deterministic: first column wins.
+    if (!col_status[j].ok()) return col_status[j];
+  }
+
+  internal::PartitionFits fits(static_cast<std::size_t>(l),
+                               Result<linalg::PackedSymmetric>(
+                                   Status::Internal("partition not fitted")));
+  ParallelFor(
+      0, static_cast<std::size_t>(l), /*grain=*/1,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t ti = begin; ti < end; ++ti) {
+          obs::Span fit_span("mle.partition_fit[" + std::to_string(ti) + "]",
+                             estimate_span_id);
+          obs::ScopedTimer fit_timer(fit_seconds);
+          obs::StageScope fit_stage(obs::Stage::kMlePartitionFit);
+          // Failpoint first, before any per-partition work, so an armed
+          // fault shadows a data error.
+          if (DPC_FAILPOINT_AT("mle.partition_fit", ti)) {
+            fits[ti] = failpoint::InjectedFault("mle.partition_fit");
+            continue;
+          }
+          const std::int64_t code =
+              part_fail[ti].load(std::memory_order_relaxed);
+          if (code != kPartitionOk) {
+            fits[ti] = PartitionFailureStatus(code);
+            continue;
+          }
+          thread_local std::vector<const double*> ptrs;
+          ptrs.resize(m);
+          for (std::size_t j = 0; j < m; ++j) {
+            ptrs[j] = scores.data() + j * rows_used +
+                      ti * static_cast<std::size_t>(b);
+          }
+          fits[ti] = NormalScoresCorrelationTiledPacked(
+              ptrs.data(), m, static_cast<std::size_t>(b));
+        }
+      },
+      num_threads);
+  return fits;
+}
+
 }  // namespace
 
-Result<MleEstimate> EstimateMleCorrelation(const data::Table& table,
-                                           double epsilon2, Rng* rng,
-                                           const MleEstimatorOptions& options) {
+namespace internal {
+
+Result<MleEstimate> EstimateMleCorrelation(
+    const data::Table& table, double epsilon2, Rng* rng,
+    const MleEstimatorOptions& options,
+    const FitPartitionsFn& fit_partitions) {
   static obs::Counter* const partitions_counter =
       obs::MetricsRegistry::Global().GetCounter("mle.partitions_fit");
   static obs::Counter* const repairs_counter =
       obs::MetricsRegistry::Global().GetCounter("mle.psd_repairs");
   static obs::Gauge* const rows_per_partition_gauge =
       obs::MetricsRegistry::Global().GetGauge("mle.rows_per_partition");
-  static obs::Histogram* const fit_seconds =
-      obs::MetricsRegistry::Global().GetHistogram(
-          "mle.partition_fit_seconds");
-  obs::Span estimate_span("mle.estimate");
 
   const std::size_t m = table.num_columns();
   const auto n = static_cast<std::int64_t>(table.num_rows());
@@ -373,128 +449,14 @@ Result<MleEstimate> EstimateMleCorrelation(const data::Table& table,
       .Field("rows_dropped", rows_dropped)
       .Field("epsilon2", epsilon2);
 
-  // Fit the l disjoint partitions concurrently (the fits are RNG-free and
-  // touch disjoint row slices), then average sequentially in partition
-  // order so the floating-point sum — and thus the released matrix — is
-  // identical for every thread count.
-  const obs::SpanId estimate_span_id = estimate_span.id();
-  // Per-partition fits are held (and averaged) in packed lower-triangular
-  // form: one stored entry per coefficient, so the l-way accumulation pass
-  // below touches half the memory of the dense mirror-writing layout.
-  std::vector<Result<linalg::PackedSymmetric>> fits(
-      static_cast<std::size_t>(l),
-      Result<linalg::PackedSymmetric>(Status::Internal("partition not fitted")));
-  std::vector<double> scores;  // kBatched: column-major normal scores.
-
-  if (options.kernel == MleKernel::kLegacy) {
-    ParallelFor(
-        0, static_cast<std::size_t>(l), /*grain=*/1,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t ti = begin; ti < end; ++ti) {
-            obs::Span fit_span(
-                "mle.partition_fit[" + std::to_string(ti) + "]",
-                estimate_span_id);
-            obs::ScopedTimer fit_timer(fit_seconds);
-            obs::StageScope fit_stage(obs::Stage::kMlePartitionFit);
-            if (DPC_FAILPOINT_AT("mle.partition_fit", ti)) {
-              fits[ti] = failpoint::InjectedFault("mle.partition_fit");
-              continue;
-            }
-            const auto t = static_cast<std::int64_t>(ti);
-            // Slice rows [t*b, (t+1)*b) of each column.
-            data::Table part = data::Table::Zeros(
-                table.schema(), static_cast<std::size_t>(b));
-            for (std::size_t j = 0; j < m; ++j) {
-              const auto& col = table.column(j);
-              auto& dst = part.mutable_column(j);
-              for (std::int64_t i = 0; i < b; ++i) {
-                dst[static_cast<std::size_t>(i)] =
-                    col[static_cast<std::size_t>(t * b + i)];
-              }
-            }
-            auto pseudo = PseudoObservations(part);
-            if (!pseudo.ok()) {
-              fits[ti] = pseudo.status();
-              continue;
-            }
-            const auto scores_l = NormalScores(*pseudo);
-            Result<linalg::Matrix> fit = NormalScoresCorrelation(scores_l);
-            fits[ti] =
-                fit.ok() ? Result<linalg::PackedSymmetric>(
-                               linalg::PackedSymmetric::FromLowerTriangleOf(
-                                   *fit))
-                         : Result<linalg::PackedSymmetric>(fit.status());
-          }
-        },
-        options.num_threads);
-  } else {
-    // Batched kernel. Phase 1 (per column): a counting pass per partition
-    // block derives the pseudo-observations from histogram prefix sums,
-    // batched Phi^-1 per distinct value bin, normal scores written into a
-    // flat column-major buffer. Phase 2 (per partition): blocked
-    // correlation over zero-copy column slices. Both phases are
-    // deterministic for any thread count, and the failpoint/failure
-    // semantics mirror the legacy loop (see MleKernel).
-    const auto rows_used = static_cast<std::size_t>(l * b);
-    scores.resize(m * rows_used);
-    std::vector<std::atomic<std::int64_t>> part_fail(
-        static_cast<std::size_t>(l));
-    for (auto& state : part_fail) {
-      state.store(kPartitionOk, std::memory_order_relaxed);
-    }
-    std::vector<Status> col_status(m, Status::OK());
-    {
-      obs::Span pseudo_span("mle.pseudo_obs", estimate_span_id);
-      ParallelFor(
-          0, m, /*grain=*/1,
-          [&](std::size_t begin, std::size_t end) {
-            for (std::size_t j = begin; j < end; ++j) {
-              col_status[j] = BuildColumnScores(
-                  table.column(j), table.schema().attribute(j).domain_size,
-                  l, b, j, scores.data() + j * rows_used, part_fail);
-            }
-          },
-          options.num_threads);
-    }
-    for (std::size_t j = 0; j < m; ++j) {
-      // Whole-estimate failure (non-finite or oversized column): nothing
-      // rank-based can be computed. Deterministic: first column wins.
-      if (!col_status[j].ok()) return col_status[j];
-    }
-
-    ParallelFor(
-        0, static_cast<std::size_t>(l), /*grain=*/1,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t ti = begin; ti < end; ++ti) {
-            obs::Span fit_span(
-                "mle.partition_fit[" + std::to_string(ti) + "]",
-                estimate_span_id);
-            obs::ScopedTimer fit_timer(fit_seconds);
-            obs::StageScope fit_stage(obs::Stage::kMlePartitionFit);
-            // Failpoint first — the legacy loop injects before any
-            // per-partition work, so an armed fault shadows a data error.
-            if (DPC_FAILPOINT_AT("mle.partition_fit", ti)) {
-              fits[ti] = failpoint::InjectedFault("mle.partition_fit");
-              continue;
-            }
-            const std::int64_t code = part_fail[ti].load(
-                std::memory_order_relaxed);
-            if (code != kPartitionOk) {
-              fits[ti] = PartitionFailureStatus(code);
-              continue;
-            }
-            thread_local std::vector<const double*> ptrs;
-            ptrs.resize(m);
-            for (std::size_t j = 0; j < m; ++j) {
-              ptrs[j] = scores.data() + j * rows_used +
-                        ti * static_cast<std::size_t>(b);
-            }
-            fits[ti] = NormalScoresCorrelationTiledPacked(
-                ptrs.data(), m, static_cast<std::size_t>(b));
-          }
-        },
-        options.num_threads);
-  }
+  // The fits are RNG-free and touch disjoint row slices, so kernels may
+  // run them concurrently; the average below runs sequentially in
+  // partition order so the floating-point sum — and thus the released
+  // matrix — is identical for every thread count. Fits are held (and
+  // averaged) in packed lower-triangular form: one stored entry per
+  // coefficient, half the memory of the dense mirror-writing layout.
+  DPC_ASSIGN_OR_RETURN(const PartitionFits fits,
+                       fit_partitions(table, l, b));
 
   // Degradation policy: average the surviving fits (in partition order, for
   // thread-count determinism). A record lives in exactly one partition, so
@@ -567,6 +529,21 @@ Result<MleEstimate> EstimateMleCorrelation(const data::Table& table,
                          linalg::EnsureCorrelationMatrix(p, repair_options));
   }
   return est;
+}
+
+}  // namespace internal
+
+Result<MleEstimate> EstimateMleCorrelation(const data::Table& table,
+                                           double epsilon2, Rng* rng,
+                                           const MleEstimatorOptions& options) {
+  obs::Span estimate_span("mle.estimate");
+  const obs::SpanId estimate_span_id = estimate_span.id();
+  return internal::EstimateMleCorrelation(
+      table, epsilon2, rng, options,
+      [&](const data::Table& t, std::int64_t l, std::int64_t b) {
+        return FitPartitionsBatched(t, l, b, options.num_threads,
+                                    estimate_span_id);
+      });
 }
 
 }  // namespace dpcopula::copula

@@ -2,44 +2,17 @@
 #define DPCOPULA_COPULA_MLE_ESTIMATOR_H_
 
 #include <cstdint>
+#include <functional>
+#include <vector>
 
 #include "common/result.h"
 #include "common/rng.h"
 #include "data/table.h"
 #include "linalg/eigen_sym.h"
 #include "linalg/matrix.h"
+#include "linalg/packed_symmetric.h"
 
 namespace dpcopula::copula {
-
-/// Which partition-fit kernel EstimateMleCorrelation runs (mirrors
-/// SamplerKernel / TauKernel from PRs 4 and 5).
-///
-/// kBatched is the production path: each partition's rows are a contiguous
-/// block, so pseudo-observations come from a per-partition counting pass —
-/// bucket the block's values by llround bin, prefix-sum the histogram, and
-/// evaluate Phi^-1 once per distinct bin through the batch kernel instead
-/// of once per row. Domains too large for a dense histogram switch to a
-/// sorted sparse variant whose cost is O(b log b) per partition,
-/// independent of the domain size (kLegacy allocates a domain-sized
-/// histogram per partition per column). Normal scores land in a flat
-/// column-major buffer sliced zero-copy per partition, and the
-/// per-partition correlation runs as a 256-row blocked accumulation. The
-/// released noisy matrix is bit-identical to kLegacy on the same data, for
-/// any thread count.
-///
-/// kLegacy is the original per-partition Table::Zeros + PseudoObservations
-/// + NormalScores pipeline, kept verbatim as the reference implementation
-/// for old-vs-new equivalence tests.
-///
-/// Two documented kBatched divergences (failure behavior only, never the
-/// released matrix): a non-finite value anywhere in a column — including
-/// the dropped n mod l remainder rows — fails the whole estimate up front
-/// (under kLegacy a NaN reaches std::llround, which is UB), and partitions
-/// longer than uint32 can index are rejected.
-enum class MleKernel {
-  kBatched,
-  kLegacy,
-};
 
 /// Options for the DP MLE correlation estimator (Algorithm 2 — Dwork &
 /// Smith sample-and-aggregate).
@@ -68,10 +41,6 @@ struct MleEstimatorOptions {
   /// partitions is still charged — never refunded. 0 (default) keeps the
   /// strict behavior: any partition failure fails the estimate.
   std::int64_t max_failed_partitions = 0;
-
-  /// Partition-fit kernel; both produce bit-identical released matrices on
-  /// the same data (see MleKernel).
-  MleKernel kernel = MleKernel::kBatched;
 
   /// Eigensolver kernel for the PSD-repair step (see linalg::EigenKernel).
   /// kTridiagQL is the high-dimension production path; kJacobi is the
@@ -103,9 +72,50 @@ struct MleEstimate {
 /// correlation coefficient's space. Parallel composition over the disjoint
 /// partitions plus sequential composition over coefficients gives
 /// epsilon2-DP.
+///
+/// The partition fits are batched: each partition's rows are a contiguous
+/// block, so pseudo-observations come from a per-partition counting pass —
+/// bucket the block's values by llround bin, prefix-sum the histogram, and
+/// evaluate Phi^-1 once per distinct bin through the batch kernel instead
+/// of once per row. Domains too large for a dense histogram switch to a
+/// sorted sparse variant whose cost is O(b log b) per partition,
+/// independent of the domain size. Normal scores land in a flat
+/// column-major buffer sliced zero-copy per partition, and the
+/// per-partition correlation runs as a 256-row blocked accumulation. The
+/// per-partition Table::Zeros + PseudoObservations + NormalScores loop
+/// this replaced lives in tests/reference, and the released matrix must
+/// match it bit for bit, for any thread count.
+///
+/// Two documented divergences from that loop (failure behavior only, never
+/// the released matrix): a non-finite value anywhere in a column —
+/// including the dropped n mod l remainder rows — fails the whole estimate
+/// up front (the reference would feed NaN to std::llround, which is UB),
+/// and partitions longer than uint32 can index are rejected.
 Result<MleEstimate> EstimateMleCorrelation(
     const data::Table& table, double epsilon2, Rng* rng,
     const MleEstimatorOptions& options = {});
+
+namespace internal {
+
+/// One entry per partition, in partition order: the packed lower triangle
+/// of partition t's correlation fit over rows [t*b, (t+1)*b) of every
+/// column, or that partition's failure.
+using PartitionFits = std::vector<Result<linalg::PackedSymmetric>>;
+
+/// Fits the l partitions of b rows each. A returned error fails the whole
+/// estimate; a failed entry only drops that partition.
+using FitPartitionsFn = std::function<Result<PartitionFits>(
+    const data::Table& table, std::int64_t l, std::int64_t b)>;
+
+/// EstimateMleCorrelation with the partition-fit kernel supplied by the
+/// caller; the partition count, survivor averaging, Laplace noise and PSD
+/// repair are shared. Lets tests run the estimator on a reference kernel.
+Result<MleEstimate> EstimateMleCorrelation(
+    const data::Table& table, double epsilon2, Rng* rng,
+    const MleEstimatorOptions& options,
+    const FitPartitionsFn& fit_partitions);
+
+}  // namespace internal
 
 /// The paper's partition-count rule: ceil(C(m,2) / (0.025 * epsilon2)).
 std::int64_t PaperMlePartitionCount(std::size_t m, double epsilon2);

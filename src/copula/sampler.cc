@@ -10,7 +10,6 @@
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "stats/distributions.h"
-#include "stats/normal.h"
 
 namespace dpcopula::copula {
 
@@ -81,8 +80,7 @@ struct TileScratch {
 
 /// w[i][:] = sum_{k <= i} L(i,k) * z[k][:] — the Cholesky factor applied as
 /// a blocked lower-triangular mat-mul. Each (i, k) pair is one axpy over a
-/// contiguous tile column, which the compiler vectorizes; compare the
-/// legacy kernel's per-row `k <= i` dot product with stride-m accesses.
+/// contiguous tile column, which the compiler vectorizes.
 void ApplyCholeskyTile(const linalg::Matrix& chol, std::size_t m,
                        std::size_t tile_rows, const double* z, double* w) {
   for (std::size_t i = 0; i < m; ++i) {
@@ -104,7 +102,7 @@ Result<data::Table> SampleSyntheticData(
     const data::Schema& schema,
     const std::vector<stats::EmpiricalCdf>& marginal_cdfs,
     const linalg::Matrix& correlation, std::size_t num_rows, Rng* rng,
-    int num_threads, SamplerKernel kernel) {
+    int num_threads) {
   const std::size_t m = schema.num_attributes();
   DPC_RETURN_NOT_OK(ValidateSamplerInputs(schema, marginal_cdfs, correlation));
   // The factorization is profiled here rather than inside linalg: PSD
@@ -116,8 +114,7 @@ Result<data::Table> SampleSyntheticData(
   }());
 
   const std::vector<stats::InverseCdfTable> tables =
-      kernel == SamplerKernel::kTiled ? BuildInverseTables(marginal_cdfs)
-                                      : std::vector<stats::InverseCdfTable>{};
+      BuildInverseTables(marginal_cdfs);
 
   data::Table out = data::Table::Zeros(schema, num_rows);
   // Fail-closed flag: a row-level fault anywhere aborts the whole sample —
@@ -133,29 +130,6 @@ Result<data::Table> SampleSyntheticData(
         obs::ScopedTimer shard_timer(ShardSecondsHistogram());
         RowsEmittedCounter()->Add(
             static_cast<std::int64_t>(row_end - row_begin));
-        if (kernel == SamplerKernel::kLegacy) {
-          std::vector<double> z(m), corr_z(m);
-          for (std::size_t r = row_begin; r < row_end; ++r) {
-            if (DPC_FAILPOINT_AT("sampler.row", r)) {
-              injected_failure.store(true, std::memory_order_relaxed);
-              break;
-            }
-            for (std::size_t j = 0; j < m; ++j) {
-              z[j] = shard_rng->NextGaussian();
-            }
-            for (std::size_t i = 0; i < m; ++i) {
-              double acc = 0.0;
-              for (std::size_t k = 0; k <= i; ++k) acc += chol(i, k) * z[k];
-              corr_z[i] = acc;
-            }
-            for (std::size_t j = 0; j < m; ++j) {
-              const double t = stats::NormalCdf(corr_z[j]);
-              out.set(r, j,
-                      static_cast<double>(marginal_cdfs[j].InverseCdf(t)));
-            }
-          }
-          return;
-        }
         TileScratch scratch(m);
         for (std::size_t tile = row_begin; tile < row_end;
              tile += kSamplerTileRows) {
@@ -198,7 +172,7 @@ Result<data::Table> SampleSyntheticDataT(
     const data::Schema& schema,
     const std::vector<stats::EmpiricalCdf>& marginal_cdfs,
     const linalg::Matrix& correlation, double dof, std::size_t num_rows,
-    Rng* rng, int num_threads, SamplerKernel kernel) {
+    Rng* rng, int num_threads) {
   const std::size_t m = schema.num_attributes();
   DPC_RETURN_NOT_OK(ValidateSamplerInputs(schema, marginal_cdfs, correlation));
   if (!(dof > 0.0)) {
@@ -210,8 +184,7 @@ Result<data::Table> SampleSyntheticDataT(
   }());
 
   const std::vector<stats::InverseCdfTable> tables =
-      kernel == SamplerKernel::kTiled ? BuildInverseTables(marginal_cdfs)
-                                      : std::vector<stats::InverseCdfTable>{};
+      BuildInverseTables(marginal_cdfs);
 
   data::Table out = data::Table::Zeros(schema, num_rows);
   std::atomic<bool> injected_failure{false};
@@ -223,29 +196,6 @@ Result<data::Table> SampleSyntheticDataT(
             static_cast<std::int64_t>(row_end - row_begin));
         TRowsEmittedCounter()->Add(
             static_cast<std::int64_t>(row_end - row_begin));
-        if (kernel == SamplerKernel::kLegacy) {
-          std::vector<double> z(m);
-          for (std::size_t r = row_begin; r < row_end; ++r) {
-            if (DPC_FAILPOINT_AT("sampler.row", r)) {
-              injected_failure.store(true, std::memory_order_relaxed);
-              break;
-            }
-            for (std::size_t j = 0; j < m; ++j) {
-              z[j] = shard_rng->NextGaussian();
-            }
-            // One chi-squared mixing variable per record gives the joint t.
-            const double w = stats::SampleChiSquared(shard_rng, dof);
-            const double scale = std::sqrt(dof / w);
-            for (std::size_t i = 0; i < m; ++i) {
-              double acc = 0.0;
-              for (std::size_t k = 0; k <= i; ++k) acc += chol(i, k) * z[k];
-              const double t = stats::StudentTCdf(acc * scale, dof);
-              out.set(r, i,
-                      static_cast<double>(marginal_cdfs[i].InverseCdf(t)));
-            }
-          }
-          return;
-        }
         TileScratch scratch(m);
         std::vector<double> scale(kSamplerTileRows);
         for (std::size_t tile = row_begin; tile < row_end;

@@ -24,14 +24,6 @@ inline constexpr std::size_t kSamplerShardRows = 4096;
 /// the final shard ever sees a partial tile.
 inline constexpr std::size_t kSamplerTileRows = 256;
 
-/// Which row-sampling kernel to run. kTiled is the production path: a
-/// ziggurat-filled kSamplerTileRows x m Gaussian block, the Cholesky factor
-/// applied as a blocked lower-triangular mat-mul over contiguous columns,
-/// and guide-table CDF inversion (InverseCdfTable). kLegacy is the pre-tile
-/// scalar loop (per-row triangular multiply + per-cell std::lower_bound),
-/// kept for golden fixtures and old-vs-new equivalence tests.
-enum class SamplerKernel { kTiled, kLegacy };
-
 /// Algorithm 3 — sampling DP synthetic data:
 ///  1a. draw z ~ N(0, correlation) (Cholesky of the DP correlation matrix);
 ///  1b. map to the unit cube via the standard normal CDF, t = Phi(z);
@@ -45,12 +37,18 @@ enum class SamplerKernel { kTiled, kLegacy };
 /// The row loop runs on the shared thread pool: rows are cut into
 /// kSamplerShardRows-sized shards, each with its own RNG split off `*rng`
 /// in shard order (1 thread and N threads give byte-identical tables).
+/// Within a shard, rows are processed kSamplerTileRows at a time: a
+/// ziggurat-filled Gaussian block, the Cholesky factor applied as a blocked
+/// lower-triangular mat-mul over contiguous columns, and guide-table CDF
+/// inversion (InverseCdfTable). The pre-tile per-row loop it replaced lives
+/// in tests/reference as the oracle for distributional-equivalence tests
+/// and the bench_sampler_hot baseline.
 /// `num_threads`: 0 = hardware concurrency, <= 1 = sequential.
 Result<data::Table> SampleSyntheticData(
     const data::Schema& schema,
     const std::vector<stats::EmpiricalCdf>& marginal_cdfs,
     const linalg::Matrix& correlation, std::size_t num_rows, Rng* rng,
-    int num_threads = 1, SamplerKernel kernel = SamplerKernel::kTiled);
+    int num_threads = 1);
 
 /// t-copula variant of Algorithm 3 (the paper's future-work extension):
 /// draws x ~ t_dof(0, correlation), maps through the univariate t CDF, then
@@ -61,7 +59,7 @@ Result<data::Table> SampleSyntheticDataT(
     const data::Schema& schema,
     const std::vector<stats::EmpiricalCdf>& marginal_cdfs,
     const linalg::Matrix& correlation, double dof, std::size_t num_rows,
-    Rng* rng, int num_threads = 1, SamplerKernel kernel = SamplerKernel::kTiled);
+    Rng* rng, int num_threads = 1);
 
 }  // namespace dpcopula::copula
 

@@ -18,9 +18,9 @@ namespace dpcopula::serve {
 /// One loaded, sampling-ready model version. Immutable after publication:
 /// request threads hold a shared_ptr while sampling, so a hot reload can
 /// swap in a new version without ever invalidating an in-flight request.
-/// The per-column inverse-CDF tables are built once here instead of per
-/// request (SampleFromModel rebuilds them on every call — too slow for a
-/// request hot path).
+/// Only the per-column EmpiricalCdfs are built once here, at load time;
+/// SampleSyntheticData still rebuilds its InverseCdfTables and the
+/// Cholesky factor of the correlation matrix on every request.
 struct ServedModel {
   core::DpCopulaModel model;
   std::vector<stats::EmpiricalCdf> cdfs;

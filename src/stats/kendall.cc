@@ -9,9 +9,8 @@ namespace dpcopula::stats {
 
 namespace {
 
-template <typename T>
-std::uint64_t MergeCountInversions(std::vector<T>* values,
-                                   std::vector<T>* scratch,
+std::uint64_t MergeCountInversions(std::vector<std::uint32_t>* values,
+                                   std::vector<std::uint32_t>* scratch,
                                    std::size_t lo, std::size_t hi) {
   if (hi - lo <= 1) return 0;
   const std::size_t mid = lo + (hi - lo) / 2;
@@ -36,21 +35,6 @@ std::uint64_t MergeCountInversions(std::vector<T>* values,
   return count;
 }
 
-// Sum over groups of equal values of C(group_size, 2). `values` must be
-// sorted (or grouped) by the caller.
-std::uint64_t TiedPairs(const std::vector<double>& sorted) {
-  std::uint64_t ties = 0;
-  std::size_t i = 0;
-  while (i < sorted.size()) {
-    std::size_t j = i + 1;
-    while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
-    const std::uint64_t g = j - i;
-    ties += g * (g - 1) / 2;
-    i = j;
-  }
-  return ties;
-}
-
 Status NonFiniteInput() {
   // Deliberately data-independent: no values, no positions.
   return Status::InvalidArgument("KendallTau: non-finite input");
@@ -64,11 +48,6 @@ bool AllFinite(const std::vector<double>& values) {
 }
 
 }  // namespace
-
-std::uint64_t CountInversions(std::vector<double> values) {
-  std::vector<double> scratch(values.size());
-  return MergeCountInversions(&values, &scratch, 0, values.size());
-}
 
 Result<RankColumn> BuildRankColumn(const std::vector<double>& values) {
   const std::size_t n = values.size();
@@ -164,7 +143,7 @@ Result<double> KendallTauFromRanks(const RankColumn& x, const RankColumn& y,
   } else {
     // Merge-count kernel. A stable counting sort of the y-sorted
     // permutation by x rank code yields the rows in (x, y) order in O(n +
-    // d_x) — the per-pair comparator sort the legacy path paid is gone.
+    // d_x), with no per-pair comparator sort.
     ws->starts.assign(dx + 1, 0);
     for (std::size_t r = 0; r < n; ++r) ++ws->starts[x.rank[r] + 1];
     for (std::uint32_t c = 0; c < dx; ++c) {
@@ -202,8 +181,7 @@ Result<double> KendallTauFromRanks(const RankColumn& x, const RankColumn& y,
     concordant = total - tied_any - discordant;
   }
 
-  // Same final expression as KendallTau: identical integer counts divide
-  // to a bit-identical tau.
+  // tau-a denominator C(n, 2) per the paper's Definition 3.5.
   return (static_cast<double>(concordant) -
           static_cast<double>(discordant)) /
          static_cast<double>(total);
@@ -211,103 +189,17 @@ Result<double> KendallTauFromRanks(const RankColumn& x, const RankColumn& y,
 
 Result<double> KendallTau(const std::vector<double>& x,
                           const std::vector<double>& y) {
+  // Shape errors first, so they win over a non-finite value.
   if (x.size() != y.size()) {
     return Status::InvalidArgument("KendallTau: size mismatch");
   }
-  const std::size_t n = x.size();
-  if (n < 2) {
+  if (x.size() < 2) {
     return Status::InvalidArgument("KendallTau needs at least 2 points");
   }
-  // A NaN in either column makes the (x, y) comparator below a non-strict
-  // weak order — UB in std::sort — so fail closed first.
-  if (!AllFinite(x) || !AllFinite(y)) return NonFiniteInput();
-
-  // Sort indices by (x, y).
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (x[a] != x[b]) return x[a] < x[b];
-    return y[a] < y[b];
-  });
-
-  std::vector<double> xs(n), ys(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    xs[i] = x[order[i]];
-    ys[i] = y[order[i]];
-  }
-
-  // Pairs tied on x (including tied on both).
-  std::uint64_t ties_x = 0;
-  std::uint64_t ties_xy = 0;
-  {
-    std::size_t i = 0;
-    while (i < n) {
-      std::size_t j = i + 1;
-      while (j < n && xs[j] == xs[i]) ++j;
-      const std::uint64_t g = j - i;
-      ties_x += g * (g - 1) / 2;
-      // Within an x-group, count pairs also tied on y.
-      std::vector<double> group(ys.begin() + static_cast<std::ptrdiff_t>(i),
-                                ys.begin() + static_cast<std::ptrdiff_t>(j));
-      std::sort(group.begin(), group.end());
-      ties_xy += TiedPairs(group);
-      i = j;
-    }
-  }
-
-  // Discordant pairs among x-distinct pairs = inversions of y in x-order
-  // (pairs with equal x contribute no inversion because their y's are sorted
-  // ascending within the group). The merge sort leaves `y_sorted` fully
-  // sorted, which the tie count below reuses — one O(n log n) sort instead
-  // of two per pair.
-  std::vector<double> y_sorted = ys;
-  std::uint64_t inversions = 0;
-  {
-    std::vector<double> scratch(n);
-    inversions = MergeCountInversions(&y_sorted, &scratch, 0, n);
-  }
-
-  // Pairs tied on y overall.
-  const std::uint64_t ties_y = TiedPairs(y_sorted);
-
-  const std::uint64_t total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
-  // Concordant + discordant = total - (tied on x only) - (tied on y only)
-  //                         - (tied on both); inclusion–exclusion:
-  const std::uint64_t tied_any = ties_x + ties_y - ties_xy;
-  const std::uint64_t discordant = inversions;
-  const std::uint64_t concordant = total - tied_any - discordant;
-
-  // tau-a denominator C(n, 2) per the paper's Definition 3.5.
-  const double tau = (static_cast<double>(concordant) -
-                      static_cast<double>(discordant)) /
-                     static_cast<double>(total);
-  return tau;
-}
-
-Result<double> KendallTauBruteForce(const std::vector<double>& x,
-                                    const std::vector<double>& y) {
-  if (x.size() != y.size()) {
-    return Status::InvalidArgument("KendallTau: size mismatch");
-  }
-  const std::size_t n = x.size();
-  if (n < 2) {
-    return Status::InvalidArgument("KendallTau needs at least 2 points");
-  }
-  // NaN differences compare false against both 0.0 inequalities, silently
-  // dropping those pairs; reject loudly instead, mirroring the fast path.
-  if (!AllFinite(x) || !AllFinite(y)) return NonFiniteInput();
-  std::int64_t net = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double dx = x[i] - x[j];
-      const double dy = y[i] - y[j];
-      const double prod = dx * dy;
-      if (prod > 0.0) ++net;
-      if (prod < 0.0) --net;
-    }
-  }
-  const double total = static_cast<double>(n) * (n - 1) / 2.0;
-  return static_cast<double>(net) / total;
+  DPC_ASSIGN_OR_RETURN(const RankColumn rx, BuildRankColumn(x));
+  DPC_ASSIGN_OR_RETURN(const RankColumn ry, BuildRankColumn(y));
+  TauWorkspace ws;
+  return KendallTauFromRanks(rx, ry, &ws);
 }
 
 }  // namespace dpcopula::stats

@@ -14,14 +14,6 @@ namespace dpcopula::stats {
 /// neither. This is the estimator whose sensitivity the paper bounds by
 /// 4/(n+1) (Lemma 4.1).
 
-/// Which pairwise tau kernel the Kendall estimator runs (mirrors
-/// SamplerKernel). kRankCache is the production path: per-column rank
-/// structures built once and shared by every pair (contingency table for
-/// small domain products, rank-code merge count otherwise). kLegacy is the
-/// original one-sort-per-pair KendallTau, kept as the reference
-/// implementation for old-vs-new equivalence tests.
-enum class TauKernel { kRankCache, kLegacy };
-
 /// Per-column rank structures, computed once in O(n log n) and reused by
 /// every pair touching the column: dense rank codes (0 .. num_distinct-1,
 /// order-preserving, equal values share a code), the sorted permutation,
@@ -55,29 +47,19 @@ struct TauWorkspace {
 /// counts — i.e. when the domain product is small relative to n.
 bool UseContingencyKernel(std::uint64_t n, std::uint32_t dx, std::uint32_t dy);
 
-/// Pairwise tau from shared rank columns (the kRankCache kernel). Picks the
-/// contingency-table path when UseContingencyKernel() says so, otherwise a
-/// counting-sort + merge-count path; both produce integer pair counts
-/// identical to KendallTau's, so the returned tau is bit-identical to the
-/// legacy kernel on the same data.
+/// Pairwise tau from shared rank columns. Picks the contingency-table path
+/// when UseContingencyKernel() says so, otherwise a counting-sort +
+/// merge-count path; both compute the exact integer pair counts, so the
+/// returned tau is bit-identical to the per-pair Knight's-algorithm oracle
+/// in tests/reference on the same data.
 Result<double> KendallTauFromRanks(const RankColumn& x, const RankColumn& y,
                                    TauWorkspace* ws);
 
-/// O(n log n) implementation (Knight's algorithm: sort by x, count
-/// discordant pairs as merge-sort inversions on y, correct for ties).
-/// Rejects non-finite input: a NaN in either column would make the (x, y)
-/// comparator a non-strict weak order, which is UB in std::sort.
+/// Tau of one column pair: BuildRankColumn on each column, then
+/// KendallTauFromRanks. Rejects mismatched sizes, fewer than 2 points, and
+/// non-finite input (a NaN would break the rank sort's strict weak order).
 Result<double> KendallTau(const std::vector<double>& x,
                           const std::vector<double>& y);
-
-/// O(n^2) brute-force reference; used in tests and for tiny inputs.
-/// Rejects non-finite input like KendallTau (NaN comparisons would
-/// silently drop pairs instead of failing loudly).
-Result<double> KendallTauBruteForce(const std::vector<double>& x,
-                                    const std::vector<double>& y);
-
-/// Counts inversions in `values` by merge sort (exposed for testing).
-std::uint64_t CountInversions(std::vector<double> values);
 
 }  // namespace dpcopula::stats
 

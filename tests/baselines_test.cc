@@ -20,8 +20,8 @@ data::Table MakeData(std::size_t n, std::size_t m, Rng* rng,
                      std::int64_t domain = 64) {
   std::vector<data::MarginSpec> specs;
   for (std::size_t j = 0; j < m; ++j) {
-    specs.push_back(
-        data::MarginSpec::Gaussian("x" + std::to_string(j), domain));
+    specs.push_back(data::MarginSpec::Gaussian(
+        std::string("x").append(std::to_string(j)), domain));
   }
   auto corr = data::Equicorrelation(m, 0.3);
   return *data::GenerateGaussianDependent(specs, *corr, n, rng);
@@ -319,7 +319,8 @@ data::Table BinaryTable(std::size_t m, std::size_t n, Rng* rng) {
   std::vector<data::MarginSpec> specs;
   for (std::size_t j = 0; j < m; ++j) {
     specs.push_back(data::MarginSpec::Bernoulli(
-        "b" + std::to_string(j), 0.3 + 0.05 * static_cast<double>(j)));
+        std::string("b").append(std::to_string(j)),
+        0.3 + 0.05 * static_cast<double>(j)));
   }
   auto corr = data::Equicorrelation(m, 0.3);
   return *data::GenerateGaussianDependent(specs, *corr, n, rng);

@@ -343,8 +343,8 @@ TEST(KendallEstimatorTest, ThreadedMatchesSequentialExactly) {
   Rng data_rng(151);
   std::vector<data::MarginSpec> specs;
   for (int j = 0; j < 5; ++j) {
-    specs.push_back(
-        data::MarginSpec::Gaussian("x" + std::to_string(j), 300));
+    specs.push_back(data::MarginSpec::Gaussian(
+        std::string("x").append(std::to_string(j)), 300));
   }
   auto t = data::GenerateGaussianDependent(
       specs, data::Ar1Correlation(5, 0.5), 3000, &data_rng);

@@ -16,8 +16,8 @@ data::Table MakeSynthetic(std::size_t n, std::size_t m, double rho, Rng* rng,
                           std::int64_t domain = 200) {
   std::vector<data::MarginSpec> specs;
   for (std::size_t j = 0; j < m; ++j) {
-    specs.push_back(
-        data::MarginSpec::Gaussian("x" + std::to_string(j), domain));
+    specs.push_back(data::MarginSpec::Gaussian(
+        std::string("x").append(std::to_string(j)), domain));
   }
   auto corr = data::Equicorrelation(m, rho);
   return *data::GenerateGaussianDependent(specs, *corr, n, rng);
@@ -359,7 +359,7 @@ TEST(HybridTest, TooManyPartitionsRejected) {
   Rng rng(235);
   std::vector<data::Attribute> attrs;
   for (int j = 0; j < 14; ++j) {
-    attrs.push_back({"b" + std::to_string(j), 2});
+    attrs.push_back({std::string("b").append(std::to_string(j)), 2});
   }
   data::Table t{data::Schema(attrs)};
   ASSERT_TRUE(t.AppendRow(std::vector<double>(14, 0.0)).ok());

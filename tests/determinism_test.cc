@@ -117,7 +117,7 @@ TEST(DeterminismTest, SamplerIsThreadCountInvariant) {
   std::vector<data::Attribute> attrs;
   std::vector<stats::EmpiricalCdf> cdfs;
   for (std::size_t j = 0; j < m; ++j) {
-    attrs.push_back({"x" + std::to_string(j), 32});
+    attrs.push_back({std::string("x").append(std::to_string(j)), 32});
     std::vector<double> counts(32, 1.0);
     cdfs.push_back(*stats::EmpiricalCdf::FromCounts(counts));
   }
@@ -154,8 +154,8 @@ TEST(DeterminismTest, KendallEstimatorIsThreadCountInvariant) {
   Rng data_rng(4);
   std::vector<data::MarginSpec> specs;
   for (int j = 0; j < 5; ++j) {
-    specs.push_back(
-        data::MarginSpec::Gaussian("g" + std::to_string(j), 64));
+    specs.push_back(data::MarginSpec::Gaussian(
+        std::string("g").append(std::to_string(j)), 64));
   }
   auto t = data::GenerateGaussianDependent(
       specs, *data::Equicorrelation(5, 0.4), 1500, &data_rng);

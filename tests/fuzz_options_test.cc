@@ -28,16 +28,16 @@ data::Table RandomTable(Rng* rng) {
                                         rng->NextUint64Below(300));
     switch (rng->NextUint64Below(3)) {
       case 0:
-        specs.push_back(
-            data::MarginSpec::Uniform("u" + std::to_string(j), domain));
+        specs.push_back(data::MarginSpec::Uniform(
+            std::string("u").append(std::to_string(j)), domain));
         break;
       case 1:
-        specs.push_back(
-            data::MarginSpec::Gaussian("g" + std::to_string(j), domain));
+        specs.push_back(data::MarginSpec::Gaussian(
+            std::string("g").append(std::to_string(j)), domain));
         break;
       default:
-        specs.push_back(
-            data::MarginSpec::Zipf("z" + std::to_string(j), domain, 1.0));
+        specs.push_back(data::MarginSpec::Zipf(
+            std::string("z").append(std::to_string(j)), domain, 1.0));
     }
   }
   const double rho = 0.6 * rng->NextDouble();
@@ -121,11 +121,12 @@ TEST_P(HybridFuzzTest, MixedDomainsNeverCrash) {
     const std::size_t num_large = 1 + rng.NextUint64Below(2);
     for (std::size_t j = 0; j < num_small; ++j) {
       specs.push_back(data::MarginSpec::Bernoulli(
-          "b" + std::to_string(j), 0.1 + 0.8 * rng.NextDouble()));
+          std::string("b").append(std::to_string(j)),
+          0.1 + 0.8 * rng.NextDouble()));
     }
     for (std::size_t j = 0; j < num_large; ++j) {
-      specs.push_back(
-          data::MarginSpec::Gaussian("g" + std::to_string(j), 100));
+      specs.push_back(data::MarginSpec::Gaussian(
+          std::string("g").append(std::to_string(j)), 100));
     }
     const std::size_t m = specs.size();
     auto corr = data::Equicorrelation(m, 0.2);
@@ -156,7 +157,7 @@ TEST_P(BaselineFuzzTest, AllBaselinesSurviveRandomInputs) {
     const std::size_t m = 1 + rng.NextUint64Below(3);
     for (std::size_t j = 0; j < m; ++j) {
       specs.push_back(data::MarginSpec::Zipf(
-          "z" + std::to_string(j),
+          std::string("z").append(std::to_string(j)),
           2 + static_cast<std::int64_t>(rng.NextUint64Below(40)), 1.0));
     }
     auto corr = data::Equicorrelation(m, 0.1);

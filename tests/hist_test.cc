@@ -88,7 +88,7 @@ TEST_P(HistogramRangeSumPropertyTest, MatchesTableBruteForce) {
   std::vector<std::int64_t> dims;
   for (std::size_t j = 0; j < m; ++j) {
     const std::int64_t d = 2 + static_cast<std::int64_t>(rng.NextUint64Below(9));
-    attrs.push_back({"a" + std::to_string(j), d});
+    attrs.push_back({std::string("a").append(std::to_string(j)), d});
     dims.push_back(d);
   }
   data::Table t{data::Schema(attrs)};

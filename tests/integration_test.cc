@@ -115,8 +115,8 @@ TEST(IntegrationTest, EightDimensionalLargeDomainEndToEnd) {
   Rng rng(803);
   std::vector<data::MarginSpec> specs;
   for (int j = 0; j < 8; ++j) {
-    specs.push_back(
-        data::MarginSpec::Gaussian("x" + std::to_string(j), 1000));
+    specs.push_back(data::MarginSpec::Gaussian(
+        std::string("x").append(std::to_string(j)), 1000));
   }
   auto t = data::GenerateGaussianDependent(
       specs, data::Ar1Correlation(8, 0.5), 5000, &rng);
@@ -138,8 +138,8 @@ TEST(IntegrationTest, SyntheticDataPreservesPairwiseDependenceStructure) {
   Rng rng(805);
   std::vector<data::MarginSpec> specs;
   for (int j = 0; j < 4; ++j) {
-    specs.push_back(
-        data::MarginSpec::Gaussian("x" + std::to_string(j), 500));
+    specs.push_back(data::MarginSpec::Gaussian(
+        std::string("x").append(std::to_string(j)), 500));
   }
   auto t = data::GenerateGaussianDependent(
       specs, data::Ar1Correlation(4, 0.7), 20000, &rng);

@@ -1,9 +1,10 @@
 // Old-vs-new equivalence and determinism suite for the rank-cache Kendall
-// kernel (the PR-5 counterpart of sampler_kernel_test.cc): exact tau
-// agreement between TauKernel::kRankCache and TauKernel::kLegacy on tied,
-// untied, and degenerate data; contingency-kernel cross-checks against the
-// brute-force reference; bit-identical noisy estimator output across
-// kernels and across 1/2/4/8 threads.
+// kernel (the counterpart of sampler_kernel_test.cc): exact tau agreement
+// between the rank caches and the per-pair Knight's-algorithm reference
+// (tests/reference) on tied, untied, and degenerate data;
+// contingency-kernel cross-checks against the brute-force reference;
+// bit-identical noisy estimator output against the reference estimator and
+// across 1/2/4/8 threads.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +15,7 @@
 #include "copula/kendall_estimator.h"
 #include "data/generator.h"
 #include "linalg/matrix.h"
+#include "reference/kendall.h"
 #include "stats/kendall.h"
 
 namespace dpcopula {
@@ -21,12 +23,11 @@ namespace {
 
 using copula::EstimateKendallCorrelation;
 using copula::KendallEstimatorOptions;
+using reference::KendallTauBruteForce;
+using reference::KendallTauKnight;
 using stats::BuildRankColumn;
-using stats::KendallTau;
-using stats::KendallTauBruteForce;
 using stats::KendallTauFromRanks;
 using stats::RankColumn;
-using stats::TauKernel;
 using stats::TauWorkspace;
 using stats::UseContingencyKernel;
 
@@ -82,9 +83,9 @@ TEST(ContingencySelectionTest, SmallDomainsUseTable) {
 
 TEST(TauKernelEquivalenceTest, KnownSmallExamples) {
   EXPECT_EQ(RankCacheTau({1, 2, 3, 4}, {1, 3, 2, 4}),
-            *KendallTau({1, 2, 3, 4}, {1, 3, 2, 4}));
+            *KendallTauKnight({1, 2, 3, 4}, {1, 3, 2, 4}));
   EXPECT_EQ(RankCacheTau({1, 1, 2}, {1, 2, 3}),
-            *KendallTau({1, 1, 2}, {1, 2, 3}));
+            *KendallTauKnight({1, 1, 2}, {1, 2, 3}));
   EXPECT_EQ(RankCacheTau({1, 2, 3}, {3, 2, 1}), -1.0);
 }
 
@@ -97,7 +98,7 @@ TEST(TauKernelEquivalenceTest, ConstantColumns) {
   EXPECT_EQ(RankCacheTau(c, v), 0.0);
   EXPECT_EQ(RankCacheTau(v, c), 0.0);
   EXPECT_EQ(RankCacheTau(c, c), 0.0);
-  EXPECT_EQ(*KendallTau(c, v), 0.0);
+  EXPECT_EQ(*KendallTauKnight(c, v), 0.0);
 }
 
 class TauKernelRandomTest : public ::testing::TestWithParam<int> {};
@@ -122,11 +123,14 @@ TEST_P(TauKernelRandomTest, ExactEqualityAcrossTieRegimes) {
         y[i] = 0.4 * x[i] + rng.NextGaussian();
       }
     }
-    const double legacy = *KendallTau(x, y);
-    const double cached = RankCacheTau(x, y);
-    EXPECT_EQ(cached, legacy) << "regime " << regime;
-    EXPECT_NEAR(cached, *KendallTauBruteForce(x, y), 1e-12)
-        << "regime " << regime;
+    // The estimator's rank caches and stats::KendallTau must both match
+    // the Knight oracle exactly and the brute-force count to rounding.
+    const double knight = *KendallTauKnight(x, y);
+    const double brute = *KendallTauBruteForce(x, y);
+    for (const double tau : {RankCacheTau(x, y), *stats::KendallTau(x, y)}) {
+      EXPECT_EQ(tau, knight) << "regime " << regime;
+      EXPECT_NEAR(tau, brute, 1e-12) << "regime " << regime;
+    }
   }
 }
 
@@ -157,7 +161,7 @@ TEST(TauKernelEquivalenceTest, BothPairKernelsMatchBruteForce) {
     auto tau = KendallTauFromRanks(*rx, *ry, &ws);
     ASSERT_TRUE(tau.ok());
     EXPECT_NEAR(*tau, *KendallTauBruteForce(x, y), 1e-12);
-    EXPECT_EQ(*tau, *KendallTau(x, y));
+    EXPECT_EQ(*tau, *KendallTauKnight(x, y));
   };
   check(xs, ys, /*want_contingency=*/true);
   check(xc, yc, /*want_contingency=*/false);
@@ -190,7 +194,7 @@ TEST(TauKernelEquivalenceTest, WorkspaceReuseAcrossPairsIsClean) {
       for (std::size_t k = j + 1; k < cols.size(); ++k) {
         auto tau = KendallTauFromRanks(ranks[j], ranks[k], &ws);
         ASSERT_TRUE(tau.ok());
-        EXPECT_EQ(*tau, *KendallTau(cols[j], cols[k]))
+        EXPECT_EQ(*tau, *KendallTauKnight(cols[j], cols[k]))
             << "pass " << pass << " pair (" << j << "," << k << ")";
       }
     }
@@ -217,8 +221,8 @@ data::Table MakeCorrelated(std::size_t n, std::size_t m, double rho,
   Rng rng(seed);
   std::vector<data::MarginSpec> specs;
   for (std::size_t j = 0; j < m; ++j) {
-    specs.push_back(
-        data::MarginSpec::Gaussian("x" + std::to_string(j), domain));
+    specs.push_back(data::MarginSpec::Gaussian(
+        std::string("x").append(std::to_string(j)), domain));
   }
   auto corr = data::Equicorrelation(m, rho);
   return *data::GenerateGaussianDependent(specs, *corr, n, &rng);
@@ -238,23 +242,25 @@ void ExpectMatricesIdentical(const linalg::Matrix& a,
 TEST(KendallKernelEstimatorTest, NoisyOutputBitIdenticalAcrossKernels) {
   // Exact taus plus identical per-pair noise streams imply the released
   // matrices agree to the last bit — tested on tied (small-domain) and
-  // nearly-untied (large-domain) data, with and without subsampling.
+  // nearly-untied (large-domain) data, with and without subsampling, at
+  // every thread count.
   for (const std::int64_t domain : {6, 100000}) {
     data::Table t = MakeCorrelated(3000, 4, 0.5, 1234, domain);
     for (const bool subsample : {false, true}) {
-      KendallEstimatorOptions legacy_opts, cache_opts;
-      legacy_opts.kernel = TauKernel::kLegacy;
-      legacy_opts.subsample = subsample;
-      cache_opts.kernel = TauKernel::kRankCache;
-      cache_opts.subsample = subsample;
-      Rng r1(55), r2(55);
-      auto legacy = EstimateKendallCorrelation(t, 0.8, &r1, legacy_opts);
-      auto cached = EstimateKendallCorrelation(t, 0.8, &r2, cache_opts);
-      ASSERT_TRUE(legacy.ok());
-      ASSERT_TRUE(cached.ok());
-      ExpectMatricesIdentical(legacy->correlation, cached->correlation);
-      EXPECT_EQ(legacy->rows_used, cached->rows_used);
-      EXPECT_EQ(legacy->contingency_pairs, 0);
+      for (const int threads : {1, 2, 4, 8}) {
+        KendallEstimatorOptions options;
+        options.subsample = subsample;
+        options.num_threads = threads;
+        Rng r1(55), r2(55);
+        auto legacy =
+            reference::EstimateKendallCorrelationKnight(t, 0.8, &r1, options);
+        auto cached = EstimateKendallCorrelation(t, 0.8, &r2, options);
+        ASSERT_TRUE(legacy.ok());
+        ASSERT_TRUE(cached.ok());
+        ExpectMatricesIdentical(legacy->correlation, cached->correlation);
+        EXPECT_EQ(legacy->rows_used, cached->rows_used);
+        EXPECT_EQ(legacy->contingency_pairs, 0);
+      }
     }
   }
 }
@@ -291,12 +297,12 @@ TEST(KendallKernelEstimatorTest, ContingencyPairsReported) {
 TEST(KendallKernelEstimatorTest, RejectsNonFiniteData) {
   data::Table t = MakeCorrelated(100, 3, 0.3, 13);
   t.mutable_column(1)[17] = std::nan("");
-  for (const TauKernel kernel : {TauKernel::kRankCache, TauKernel::kLegacy}) {
-    KendallEstimatorOptions options;
-    options.kernel = kernel;
-    options.subsample = false;
+  KendallEstimatorOptions options;
+  options.subsample = false;
+  for (auto* estimate : {&EstimateKendallCorrelation,
+                         &reference::EstimateKendallCorrelationKnight}) {
     Rng rng(5);
-    auto est = EstimateKendallCorrelation(t, 1.0, &rng, options);
+    auto est = (*estimate)(t, 1.0, &rng, options);
     ASSERT_FALSE(est.ok());
     EXPECT_NE(est.status().message().find("non-finite"), std::string::npos);
   }

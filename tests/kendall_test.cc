@@ -5,10 +5,14 @@
 #include <limits>
 
 #include "common/rng.h"
+#include "reference/kendall.h"
 #include "stats/kendall.h"
 
 namespace dpcopula::stats {
 namespace {
+
+using reference::CountInversions;
+using reference::KendallTauBruteForce;
 
 TEST(InversionsTest, SortedHasNone) {
   EXPECT_EQ(CountInversions({1, 2, 3, 4, 5}), 0u);
@@ -63,9 +67,9 @@ TEST(KendallTest, ErrorsOnBadInput) {
 }
 
 TEST(KendallTest, RejectsNonFiniteInput) {
-  // A NaN in either column would make the (x, y) sort comparator a
-  // non-strict weak order — UB in std::sort — so both paths must fail
-  // closed, with a data-independent message.
+  // A NaN in either column would make the sort comparator a non-strict
+  // weak order — UB in std::sort — so both paths must fail closed, with a
+  // data-independent message.
   const double nan = std::nan("");
   const double inf = std::numeric_limits<double>::infinity();
   const std::vector<double> clean = {1, 2, 3, 4};

@@ -1,10 +1,11 @@
 // Old-vs-new equivalence and determinism suite for the batched MLE
-// partition-fit kernel (the PR counterpart of sampler_kernel_test.cc and
-// kendall_kernel_test.cc): bit-identical released matrices between
-// MleKernel::kBatched and MleKernel::kLegacy across data shapes and
-// 1/2/4/8 threads; exact scalar-vs-AVX2 agreement of the batch Phi/Phi^-1
-// kernels over (0, 1) including denormal-adjacent inputs; workspace-reuse
-// hygiene; and survivor averaging under injected partition faults.
+// partition-fit kernel (the counterpart of sampler_kernel_test.cc and
+// kendall_kernel_test.cc): bit-identical released matrices between the
+// production estimator and the per-partition reference estimator
+// (tests/reference) across data shapes and 1/2/4/8 threads; exact
+// scalar-vs-AVX2 agreement of the batch Phi/Phi^-1 kernels over (0, 1)
+// including denormal-adjacent inputs; workspace-reuse hygiene; and survivor
+// averaging under injected partition faults.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,6 +21,7 @@
 #include "copula/pseudo_obs.h"
 #include "data/generator.h"
 #include "linalg/matrix.h"
+#include "reference/mle.h"
 #include "stats/empirical_cdf.h"
 #include "stats/normal.h"
 
@@ -28,18 +30,18 @@ namespace {
 
 using copula::EstimateMleCorrelation;
 using copula::MleEstimatorOptions;
-using copula::MleKernel;
 using copula::NormalScoresCorrelation;
 using copula::NormalScoresCorrelationTiled;
 using failpoint::Registry;
+using reference::EstimateMleCorrelationPerPartition;
 
 data::Table MakeCorrelated(std::size_t n, std::size_t m, double rho,
                            std::uint64_t seed, std::int64_t domain = 24) {
   Rng rng(seed);
   std::vector<data::MarginSpec> specs;
   for (std::size_t j = 0; j < m; ++j) {
-    specs.push_back(
-        data::MarginSpec::Gaussian("x" + std::to_string(j), domain));
+    specs.push_back(data::MarginSpec::Gaussian(
+        std::string("x").append(std::to_string(j)), domain));
   }
   auto corr = data::Equicorrelation(m, rho);
   return *data::GenerateGaussianDependent(specs, *corr, n, &rng);
@@ -268,16 +270,13 @@ TEST_P(MleKernelRandomTest, NoisyOutputBitIdenticalAcrossKernels) {
   const std::size_t m = 3 + static_cast<std::size_t>(seed) % 3;
   data::Table t = MakeCorrelated(n, m, 0.4, 7000 + seed, domain);
 
-  MleEstimatorOptions legacy_opts, batched_opts;
-  legacy_opts.kernel = MleKernel::kLegacy;
-  batched_opts.kernel = MleKernel::kBatched;
+  MleEstimatorOptions options;
   // Force a partition count that leaves a dropped remainder on most seeds.
-  legacy_opts.num_partitions = 7 + seed % 5;
-  batched_opts.num_partitions = legacy_opts.num_partitions;
+  options.num_partitions = 7 + seed % 5;
 
   Rng r1(123), r2(123);
-  auto legacy = EstimateMleCorrelation(t, 1.0, &r1, legacy_opts);
-  auto batched = EstimateMleCorrelation(t, 1.0, &r2, batched_opts);
+  auto legacy = EstimateMleCorrelationPerPartition(t, 1.0, &r1, options);
+  auto batched = EstimateMleCorrelation(t, 1.0, &r2, options);
   ASSERT_TRUE(legacy.ok());
   ASSERT_TRUE(batched.ok());
   ExpectMatricesIdentical(legacy->correlation, batched->correlation);
@@ -309,14 +308,11 @@ TEST(MleKernelEquivalenceTest, NonIntegralValuesMatchLegacy) {
     // floor lands at -1 and EvaluateMid clamps back to 0.
     col[j] = -0.25;
   }
-  MleEstimatorOptions legacy_opts, batched_opts;
-  legacy_opts.kernel = MleKernel::kLegacy;
-  legacy_opts.num_partitions = 5;
-  batched_opts.kernel = MleKernel::kBatched;
-  batched_opts.num_partitions = 5;
+  MleEstimatorOptions options;
+  options.num_partitions = 5;
   Rng r1(9), r2(9);
-  auto legacy = EstimateMleCorrelation(t, 1.0, &r1, legacy_opts);
-  auto batched = EstimateMleCorrelation(t, 1.0, &r2, batched_opts);
+  auto legacy = EstimateMleCorrelationPerPartition(t, 1.0, &r1, options);
+  auto batched = EstimateMleCorrelation(t, 1.0, &r2, options);
   ASSERT_TRUE(legacy.ok());
   ASSERT_TRUE(batched.ok());
   ExpectMatricesIdentical(legacy->correlation, batched->correlation);
@@ -337,35 +333,34 @@ TEST(MleKernelEquivalenceTest, HugeDomainSparsePathMatchesLegacy) {
     }
     col[j] = 0.75;  // llround bin 1, eval bin 0: below all counted mass.
   }
-  MleEstimatorOptions legacy_opts, batched_opts;
-  legacy_opts.kernel = MleKernel::kLegacy;
-  legacy_opts.num_partitions = 5;
-  batched_opts.kernel = MleKernel::kBatched;
-  batched_opts.num_partitions = 5;
+  MleEstimatorOptions options;
+  options.num_partitions = 5;
   Rng r1(15), r2(15);
-  auto legacy = EstimateMleCorrelation(t, 1.0, &r1, legacy_opts);
-  auto batched = EstimateMleCorrelation(t, 1.0, &r2, batched_opts);
+  auto legacy = EstimateMleCorrelationPerPartition(t, 1.0, &r1, options);
+  auto batched = EstimateMleCorrelation(t, 1.0, &r2, options);
   ASSERT_TRUE(legacy.ok());
   ASSERT_TRUE(batched.ok());
   ExpectMatricesIdentical(legacy->correlation, batched->correlation);
 }
 
 TEST(MleKernelEquivalenceTest, ThreadCountInvariance) {
+  // Both estimators at every thread count release the single-threaded
+  // reference matrix.
   data::Table t = MakeCorrelated(4000, 5, 0.4, 321);
   MleEstimatorOptions options;
-  options.kernel = MleKernel::kBatched;
   options.num_partitions = 16;
-  linalg::Matrix reference;
+  Rng ref_rng(999);
+  auto expected = EstimateMleCorrelationPerPartition(t, 1.0, &ref_rng, options);
+  ASSERT_TRUE(expected.ok());
   for (const int threads : {1, 2, 4, 8}) {
     options.num_threads = threads;
-    Rng rng(999);
-    auto est = EstimateMleCorrelation(t, 1.0, &rng, options);
-    ASSERT_TRUE(est.ok()) << "threads=" << threads;
-    if (threads == 1) {
-      reference = est->correlation;
-    } else {
-      ExpectMatricesIdentical(reference, est->correlation);
-    }
+    Rng r1(999), r2(999);
+    auto legacy = EstimateMleCorrelationPerPartition(t, 1.0, &r1, options);
+    auto batched = EstimateMleCorrelation(t, 1.0, &r2, options);
+    ASSERT_TRUE(legacy.ok()) << "threads=" << threads;
+    ASSERT_TRUE(batched.ok()) << "threads=" << threads;
+    ExpectMatricesIdentical(expected->correlation, legacy->correlation);
+    ExpectMatricesIdentical(expected->correlation, batched->correlation);
   }
 }
 
@@ -385,15 +380,12 @@ TEST(MleKernelEquivalenceTest, EstimatorWorkspaceReuseIsClean) {
   for (const auto& s : shapes) {
     data::Table t =
         MakeCorrelated(s.n, s.m, 0.35, 800 + idx, s.domain);
-    MleEstimatorOptions legacy_opts, batched_opts;
-    legacy_opts.kernel = MleKernel::kLegacy;
-    legacy_opts.num_partitions = s.partitions;
-    legacy_opts.num_threads = 1;
-    batched_opts = legacy_opts;
-    batched_opts.kernel = MleKernel::kBatched;
+    MleEstimatorOptions options;
+    options.num_partitions = s.partitions;
+    options.num_threads = 1;
     Rng r1(42), r2(42);
-    auto legacy = EstimateMleCorrelation(t, 0.9, &r1, legacy_opts);
-    auto batched = EstimateMleCorrelation(t, 0.9, &r2, batched_opts);
+    auto legacy = EstimateMleCorrelationPerPartition(t, 0.9, &r1, options);
+    auto batched = EstimateMleCorrelation(t, 0.9, &r2, options);
     ASSERT_TRUE(legacy.ok()) << "shape " << idx;
     ASSERT_TRUE(batched.ok()) << "shape " << idx;
     ExpectMatricesIdentical(legacy->correlation, batched->correlation);
@@ -404,27 +396,24 @@ TEST(MleKernelEquivalenceTest, EstimatorWorkspaceReuseIsClean) {
 TEST(MleKernelEquivalenceTest, OutOfDomainValueFailsBothKernelsAlike) {
   data::Table t = MakeCorrelated(600, 3, 0.3, 61, /*domain=*/24);
   t.mutable_column(1)[100] = 400.0;  // Outside the declared domain.
-  for (const MleKernel kernel : {MleKernel::kBatched, MleKernel::kLegacy}) {
+  for (auto* estimate :
+       {&EstimateMleCorrelation, &EstimateMleCorrelationPerPartition}) {
     MleEstimatorOptions options;
-    options.kernel = kernel;
     options.num_partitions = 6;
     Rng rng(5);
-    auto est = EstimateMleCorrelation(t, 1.0, &rng, options);
+    auto est = (*estimate)(t, 1.0, &rng, options);
     ASSERT_FALSE(est.ok());
     EXPECT_NE(est.status().message().find("outside domain"),
               std::string::npos);
   }
   // With enough failure headroom the poisoned partition is excluded and the
   // survivor averages must again agree bit for bit.
-  MleEstimatorOptions legacy_opts, batched_opts;
-  legacy_opts.kernel = MleKernel::kLegacy;
-  legacy_opts.num_partitions = 6;
-  legacy_opts.max_failed_partitions = 2;
-  batched_opts = legacy_opts;
-  batched_opts.kernel = MleKernel::kBatched;
+  MleEstimatorOptions options;
+  options.num_partitions = 6;
+  options.max_failed_partitions = 2;
   Rng r1(5), r2(5);
-  auto legacy = EstimateMleCorrelation(t, 1.0, &r1, legacy_opts);
-  auto batched = EstimateMleCorrelation(t, 1.0, &r2, batched_opts);
+  auto legacy = EstimateMleCorrelationPerPartition(t, 1.0, &r1, options);
+  auto batched = EstimateMleCorrelation(t, 1.0, &r2, options);
   ASSERT_TRUE(legacy.ok());
   ASSERT_TRUE(batched.ok());
   EXPECT_EQ(legacy->failed_partitions, 1);
@@ -433,12 +422,11 @@ TEST(MleKernelEquivalenceTest, OutOfDomainValueFailsBothKernelsAlike) {
 }
 
 TEST(MleKernelEquivalenceTest, BatchedRejectsNonFiniteData) {
-  // Documented divergence: kBatched fails the whole estimate on non-finite
-  // input instead of reaching llround UB.
+  // Documented divergence: the batched kernel fails the whole estimate on
+  // non-finite input instead of reaching llround UB.
   data::Table t = MakeCorrelated(300, 3, 0.3, 13);
   t.mutable_column(2)[7] = std::nan("");
   MleEstimatorOptions options;
-  options.kernel = MleKernel::kBatched;
   options.num_partitions = 3;
   Rng rng(5);
   auto est = EstimateMleCorrelation(t, 1.0, &rng, options);
@@ -460,17 +448,14 @@ TEST_F(MleFailpointTest, SurvivorAveragingMatchesLegacyUnderInjectedFaults) {
   // Partitions 0, 3, 6, 9 fail by injection; the failpoint index is the
   // partition number, so the schedule is identical for both kernels and
   // every thread count.
-  MleEstimatorOptions legacy_opts, batched_opts;
-  legacy_opts.kernel = MleKernel::kLegacy;
-  legacy_opts.num_partitions = 10;
-  legacy_opts.max_failed_partitions = 4;
-  batched_opts = legacy_opts;
-  batched_opts.kernel = MleKernel::kBatched;
+  MleEstimatorOptions options;
+  options.num_partitions = 10;
+  options.max_failed_partitions = 4;
 
   ASSERT_TRUE(Registry::Global().Arm("mle.partition_fit", "1in3").ok());
   Rng r1(31), r2(31);
-  auto legacy = EstimateMleCorrelation(t, 1.0, &r1, legacy_opts);
-  auto batched = EstimateMleCorrelation(t, 1.0, &r2, batched_opts);
+  auto legacy = EstimateMleCorrelationPerPartition(t, 1.0, &r1, options);
+  auto batched = EstimateMleCorrelation(t, 1.0, &r2, options);
   ASSERT_TRUE(legacy.ok());
   ASSERT_TRUE(batched.ok());
   EXPECT_EQ(legacy->failed_partitions, 4);
@@ -484,12 +469,12 @@ TEST_F(MleFailpointTest, SurvivorAveragingMatchesLegacyUnderInjectedFaults) {
   // index (not a hit counter), so one arming covers both runs.
   Registry::Global().DisarmAll();
   ASSERT_TRUE(Registry::Global().Arm("mle.partition_fit", "once").ok());
-  for (const MleKernel kernel : {MleKernel::kBatched, MleKernel::kLegacy}) {
+  for (auto* estimate :
+       {&EstimateMleCorrelation, &EstimateMleCorrelationPerPartition}) {
     MleEstimatorOptions strict;
-    strict.kernel = kernel;
     strict.num_partitions = 10;
     Rng rng(3);
-    auto est = EstimateMleCorrelation(t, 1.0, &rng, strict);
+    auto est = (*estimate)(t, 1.0, &rng, strict);
     ASSERT_FALSE(est.ok());
     EXPECT_NE(est.status().message().find("mle.partition_fit"),
               std::string::npos);

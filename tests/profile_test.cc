@@ -101,7 +101,7 @@ TEST_F(ProfileTest, SingleThreadStageSumsTrackWallClock) {
   data::Schema schema = [] {
     std::vector<data::Attribute> attrs;
     for (std::size_t j = 0; j < kDims; ++j) {
-      attrs.push_back({"x" + std::to_string(j), 64});
+      attrs.push_back({std::string("x").append(std::to_string(j)), 64});
     }
     return data::Schema(attrs);
   }();

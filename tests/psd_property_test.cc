@@ -15,8 +15,8 @@ data::Table RandomTable(std::size_t n, std::size_t m, std::int64_t domain,
                         Rng* rng) {
   std::vector<data::MarginSpec> specs;
   for (std::size_t j = 0; j < m; ++j) {
-    specs.push_back(
-        data::MarginSpec::Gaussian("x" + std::to_string(j), domain));
+    specs.push_back(data::MarginSpec::Gaussian(
+        std::string("x").append(std::to_string(j)), domain));
   }
   return *data::GenerateGaussianDependent(
       specs, data::Ar1Correlation(m, 0.4), n, rng);

@@ -1,7 +1,8 @@
 // Coverage for the blocked (tiled) sampling kernel of Algorithm 3: the
-// tile pipeline must be bit-identical across thread counts, statistically
-// indistinguishable from the legacy scalar kernel it replaced, and the
-// guide-table inversion must agree with std::lower_bound everywhere.
+// tile pipeline must be bit-identical across thread counts and
+// statistically indistinguishable from the per-row reference sampler it
+// replaced (tests/reference), and the guide-table inversion must agree
+// with std::lower_bound everywhere.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +12,7 @@
 #include "copula/sampler.h"
 #include "data/generator.h"
 #include "data/schema.h"
+#include "reference/sampler.h"
 #include "stats/empirical_cdf.h"
 #include "stats/kendall.h"
 
@@ -92,13 +94,13 @@ TEST(SamplerKernelTest, TiledOutputBitIdenticalAcross1248Threads) {
   const auto fx = MakeFixture(5, 40, 0.4);
   const std::size_t rows = kSamplerShardRows * 2 + kSamplerTileRows / 2 + 17;
   Rng r1(4242);
-  const auto base = SampleSyntheticData(fx.schema, fx.cdfs, fx.corr, rows,
-                                        &r1, 1, SamplerKernel::kTiled);
+  const auto base =
+      SampleSyntheticData(fx.schema, fx.cdfs, fx.corr, rows, &r1, 1);
   ASSERT_TRUE(base.ok());
   for (const int threads : {2, 4, 8}) {
     Rng rn(4242);
-    const auto out = SampleSyntheticData(fx.schema, fx.cdfs, fx.corr, rows,
-                                         &rn, threads, SamplerKernel::kTiled);
+    const auto out =
+        SampleSyntheticData(fx.schema, fx.cdfs, fx.corr, rows, &rn, threads);
     ASSERT_TRUE(out.ok());
     EXPECT_TRUE(TablesEqual(*base, *out)) << "threads=" << threads;
   }
@@ -108,14 +110,13 @@ TEST(SamplerKernelTest, TiledTSamplerBitIdenticalAcross1248Threads) {
   const auto fx = MakeFixture(4, 24, 0.3);
   const std::size_t rows = kSamplerShardRows + kSamplerTileRows + 3;
   Rng r1(777);
-  const auto base = SampleSyntheticDataT(fx.schema, fx.cdfs, fx.corr, 6.0,
-                                         rows, &r1, 1, SamplerKernel::kTiled);
+  const auto base =
+      SampleSyntheticDataT(fx.schema, fx.cdfs, fx.corr, 6.0, rows, &r1, 1);
   ASSERT_TRUE(base.ok());
   for (const int threads : {2, 4, 8}) {
     Rng rn(777);
-    const auto out =
-        SampleSyntheticDataT(fx.schema, fx.cdfs, fx.corr, 6.0, rows, &rn,
-                             threads, SamplerKernel::kTiled);
+    const auto out = SampleSyntheticDataT(fx.schema, fx.cdfs, fx.corr, 6.0,
+                                          rows, &rn, threads);
     ASSERT_TRUE(out.ok());
     EXPECT_TRUE(TablesEqual(*base, *out)) << "threads=" << threads;
   }
@@ -125,15 +126,13 @@ TEST(SamplerKernelTest, LegacyKernelStillThreadCountInvariant) {
   const auto fx = MakeFixture(3, 16, 0.5);
   const std::size_t rows = kSamplerShardRows * 2 + 5;
   Rng r1(555);
-  r1.set_gaussian_method(GaussianMethod::kPolar);
-  const auto base = SampleSyntheticData(fx.schema, fx.cdfs, fx.corr, rows,
-                                        &r1, 1, SamplerKernel::kLegacy);
+  const auto base = reference::SampleSyntheticDataPerRow(
+      fx.schema, fx.cdfs, fx.corr, rows, &r1, 1);
   ASSERT_TRUE(base.ok());
   for (const int threads : {2, 4, 8}) {
     Rng rn(555);
-    rn.set_gaussian_method(GaussianMethod::kPolar);
-    const auto out = SampleSyntheticData(fx.schema, fx.cdfs, fx.corr, rows,
-                                         &rn, threads, SamplerKernel::kLegacy);
+    const auto out = reference::SampleSyntheticDataPerRow(
+        fx.schema, fx.cdfs, fx.corr, rows, &rn, threads);
     ASSERT_TRUE(out.ok());
     EXPECT_TRUE(TablesEqual(*base, *out)) << "threads=" << threads;
   }
@@ -145,15 +144,13 @@ TEST(SamplerKernelTest, TiledMatchesLegacyPerMarginalChiSquared) {
   const std::size_t rows = 60000;
 
   Rng legacy_rng(9001);
-  legacy_rng.set_gaussian_method(GaussianMethod::kPolar);
-  const auto legacy =
-      SampleSyntheticData(fx.schema, fx.cdfs, fx.corr, rows, &legacy_rng, 1,
-                          SamplerKernel::kLegacy);
+  const auto legacy = reference::SampleSyntheticDataPerRow(
+      fx.schema, fx.cdfs, fx.corr, rows, &legacy_rng, 1);
   ASSERT_TRUE(legacy.ok());
 
   Rng tiled_rng(9002);
   const auto tiled = SampleSyntheticData(fx.schema, fx.cdfs, fx.corr, rows,
-                                         &tiled_rng, 1, SamplerKernel::kTiled);
+                                         &tiled_rng, 1);
   ASSERT_TRUE(tiled.ok());
 
   for (std::size_t j = 0; j < m; ++j) {
@@ -176,7 +173,7 @@ TEST(SamplerKernelTest, TiledReproducesTargetKendallTau) {
   const auto fx = MakeFixture(2, 50, rho);
   Rng rng(1337);
   const auto out = SampleSyntheticData(fx.schema, fx.cdfs, fx.corr, 40000,
-                                       &rng, 1, SamplerKernel::kTiled);
+                                       &rng, 1);
   ASSERT_TRUE(out.ok());
   const auto tau = stats::KendallTau(out->column(0), out->column(1));
   ASSERT_TRUE(tau.ok());
@@ -190,15 +187,13 @@ TEST(SamplerKernelTest, TiledTSamplerMatchesLegacyStatistically) {
   const double dof_t = 5.0;
 
   Rng legacy_rng(31);
-  legacy_rng.set_gaussian_method(GaussianMethod::kPolar);
-  const auto legacy =
-      SampleSyntheticDataT(fx.schema, fx.cdfs, fx.corr, dof_t, rows,
-                           &legacy_rng, 1, SamplerKernel::kLegacy);
+  const auto legacy = reference::SampleSyntheticDataTPerRow(
+      fx.schema, fx.cdfs, fx.corr, dof_t, rows, &legacy_rng, 1);
   ASSERT_TRUE(legacy.ok());
   Rng tiled_rng(32);
   const auto tiled =
       SampleSyntheticDataT(fx.schema, fx.cdfs, fx.corr, dof_t, rows,
-                           &tiled_rng, 1, SamplerKernel::kTiled);
+                           &tiled_rng, 1);
   ASSERT_TRUE(tiled.ok());
 
   for (std::size_t j = 0; j < m; ++j) {
@@ -223,7 +218,7 @@ TEST(SamplerKernelTest, ZeroTailMarginalNeverEmitsZeroMassValues) {
   const auto fx = MakeFixture(3, 12, 0.3);
   Rng rng(64);
   const auto out = SampleSyntheticData(fx.schema, fx.cdfs, fx.corr, 20000,
-                                       &rng, 1, SamplerKernel::kTiled);
+                                       &rng, 1);
   ASSERT_TRUE(out.ok());
   for (const double v : out->column(1)) {
     ASSERT_LE(v, 9.0);  // Domain 12, bins 10 and 11 carry zero mass.

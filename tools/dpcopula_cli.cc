@@ -35,7 +35,6 @@
 //                       the kernel allows them (implies metrics)
 //   --log-level LEVEL   trace|debug|info|warn|error|off (default warn)
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -45,12 +44,16 @@
 #include "core/hybrid.h"
 #include "core/model_io.h"
 #include "data/csv.h"
+#include "flags.h"
 #include "obs/log.h"
 #include "obs/profile.h"
 #include "obs/report.h"
 #include "obs/trace_export.h"
 
 namespace {
+
+using dpcopula::tools::kPositive;
+using dpcopula::tools::ParseNumericFlag;
 
 struct CliArgs {
   std::string input;
@@ -116,13 +119,13 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       if (!v) return false;
       args->output = v;
     } else if (flag == "--epsilon") {
-      const char* v = next();
-      if (!v) return false;
-      args->epsilon = std::atof(v);
+      if (!ParseNumericFlag(flag, next(), &args->epsilon, kPositive)) {
+        return false;
+      }
     } else if (flag == "--k") {
-      const char* v = next();
-      if (!v) return false;
-      args->k = std::atof(v);
+      if (!ParseNumericFlag(flag, next(), &args->k, kPositive)) {
+        return false;
+      }
     } else if (flag == "--estimator") {
       const char* v = next();
       if (!v) return false;
@@ -132,33 +135,33 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       if (!v) return false;
       args->family = v;
     } else if (flag == "--t-dof") {
-      const char* v = next();
-      if (!v) return false;
-      args->t_dof = std::atof(v);
+      if (!ParseNumericFlag(flag, next(), &args->t_dof, 0.0)) {
+        return false;
+      }
     } else if (flag == "--no-hybrid") {
       args->hybrid = false;
     } else if (flag == "--rows") {
-      const char* v = next();
-      if (!v) return false;
-      args->rows = std::atoll(v);
+      if (!ParseNumericFlag(flag, next(), &args->rows, 0)) {
+        return false;
+      }
     } else if (flag == "--oversample") {
-      const char* v = next();
-      if (!v) return false;
-      args->oversample = std::atof(v);
+      if (!ParseNumericFlag(flag, next(), &args->oversample, kPositive)) {
+        return false;
+      }
     } else if (flag == "--threads") {
-      const char* v = next();
-      if (!v) return false;
-      args->threads = std::atoi(v);
+      if (!ParseNumericFlag(flag, next(), &args->threads, 0)) {
+        return false;
+      }
     } else if (flag == "--max-bad-rows") {
-      const char* v = next();
-      if (!v) return false;
-      args->max_bad_rows = std::atoll(v);
+      if (!ParseNumericFlag(flag, next(), &args->max_bad_rows, 0)) {
+        return false;
+      }
     } else if (flag == "--strict-csv") {
       args->strict_csv = true;
     } else if (flag == "--seed") {
-      const char* v = next();
-      if (!v) return false;
-      args->seed = std::strtoull(v, nullptr, 10);
+      if (!ParseNumericFlag(flag, next(), &args->seed, 0)) {
+        return false;
+      }
     } else if (flag == "--model-out") {
       const char* v = next();
       if (!v) return false;

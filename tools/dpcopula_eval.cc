@@ -21,13 +21,13 @@
 // --profile enables the stage profiler (per-stage histograms, peak RSS,
 // hardware counters where the kernel allows them).
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 
 #include "baselines/range_estimator.h"
 #include "common/rng.h"
 #include "data/csv.h"
+#include "flags.h"
 #include "obs/log.h"
 #include "obs/profile.h"
 #include "obs/report.h"
@@ -39,6 +39,8 @@
 #include "query/workload.h"
 
 namespace {
+
+using dpcopula::tools::ParseNumericFlag;
 
 struct CliArgs {
   std::string original;
@@ -70,27 +72,27 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       if (!v) return false;
       args->synthetic = v;
     } else if (flag == "--queries") {
-      const char* v = next();
-      if (!v) return false;
-      args->queries = static_cast<std::size_t>(std::atoll(v));
+      if (!ParseNumericFlag(flag, next(), &args->queries, 1)) {
+        return false;
+      }
     } else if (flag == "--sanity") {
-      const char* v = next();
-      if (!v) return false;
-      args->sanity = std::atof(v);
+      if (!ParseNumericFlag(flag, next(), &args->sanity, 0.0)) {
+        return false;
+      }
     } else if (flag == "--threads") {
-      const char* v = next();
-      if (!v) return false;
-      args->threads = std::atoi(v);
+      if (!ParseNumericFlag(flag, next(), &args->threads, 0)) {
+        return false;
+      }
     } else if (flag == "--max-bad-rows") {
-      const char* v = next();
-      if (!v) return false;
-      args->max_bad_rows = std::atoll(v);
+      if (!ParseNumericFlag(flag, next(), &args->max_bad_rows, 0)) {
+        return false;
+      }
     } else if (flag == "--strict-csv") {
       args->strict_csv = true;
     } else if (flag == "--seed") {
-      const char* v = next();
-      if (!v) return false;
-      args->seed = std::strtoull(v, nullptr, 10);
+      if (!ParseNumericFlag(flag, next(), &args->seed, 0)) {
+        return false;
+      }
     } else if (flag == "--trace-json") {
       const char* v = next();
       if (!v) return false;

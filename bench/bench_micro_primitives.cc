@@ -1,7 +1,8 @@
 // Google-benchmark micro suite for the numeric primitives underlying
 // DPCopula: Kendall's tau (the O(n log n) claim of §4.2), normal inverse
-// CDF, Cholesky, multivariate-normal sampling, the Haar/DCT transforms and
-// the EFPA marginal publisher.
+// CDF, Cholesky, multivariate-normal sampling, the Haar/DCT transforms
+// (with the direct O(d^2) DCT as the reference row) and the EFPA and
+// NoiseFirst marginal publishers.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -17,6 +18,8 @@
 #include "hist/wavelet.h"
 #include "linalg/cholesky.h"
 #include "marginals/efpa.h"
+#include "marginals/noisefirst.h"
+#include "reference/dct.h"
 #include "reference/kendall.h"
 #include "stats/distributions.h"
 #include "stats/empirical_cdf.h"
@@ -159,6 +162,8 @@ void BM_ForwardHaar(benchmark::State& state) {
 }
 BENCHMARK(BM_ForwardHaar)->Range(1 << 8, 1 << 16);
 
+// Powers of two run the radix-2 FFT directly; 1000, 1020 (a census
+// domain) and 20000 go through Bluestein at the next power of two >= 2d-1.
 void BM_ForwardDct(benchmark::State& state) {
   Rng rng(17);
   std::vector<double> x(static_cast<std::size_t>(state.range(0)));
@@ -167,7 +172,24 @@ void BM_ForwardDct(benchmark::State& state) {
     benchmark::DoNotOptimize(dpcopula::hist::ForwardDct(x));
   }
 }
-BENCHMARK(BM_ForwardDct)->Arg(256)->Arg(1024);
+BENCHMARK(BM_ForwardDct)
+    ->Arg(256)
+    ->Arg(1000)
+    ->Arg(1020)
+    ->Arg(1024)
+    ->Arg(20000)
+    ->Unit(benchmark::kMicrosecond);
+
+// The O(d^2) direct sums the FFT path replaced: the speedup denominator.
+void BM_ForwardDctDirect(benchmark::State& state) {
+  Rng rng(17);
+  std::vector<double> x(static_cast<std::size_t>(state.range(0)));
+  for (double& v : x) v = rng.NextGaussian();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dpcopula::reference::ForwardDctDirect(x));
+  }
+}
+BENCHMARK(BM_ForwardDctDirect)->Arg(1024)->Unit(benchmark::kMicrosecond);
 
 void BM_EfpaPublish(benchmark::State& state) {
   Rng rng(19);
@@ -181,7 +203,25 @@ void BM_EfpaPublish(benchmark::State& state) {
         dpcopula::marginals::PublishEfpaHistogram(counts, 1.0, &rng));
   }
 }
-BENCHMARK(BM_EfpaPublish)->Arg(1000);
+BENCHMARK(BM_EfpaPublish)->Arg(1000)->Arg(20000)->Unit(benchmark::kMicrosecond);
+
+// NoiseFirst's bucket-merging DP at its default 64 buckets: O(k d^2), so
+// it is the next quadratic margin publisher once EFPA is O(d log d).
+void BM_MergeNoisyHistogram(benchmark::State& state) {
+  Rng rng(53);
+  std::vector<double> noisy(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < noisy.size(); ++i) {
+    noisy[i] = static_cast<double>(i / 100) + rng.NextGaussian();
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        dpcopula::marginals::MergeNoisyHistogram(noisy, 2.0, 64));
+  }
+}
+BENCHMARK(BM_MergeNoisyHistogram)
+    ->Arg(1000)
+    ->Arg(20000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_StudentTInverseCdf(benchmark::State& state) {
   Rng rng(23);

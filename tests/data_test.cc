@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "common/rng.h"
 #include "data/census.h"
@@ -126,6 +129,152 @@ TEST(CsvTest, MissingFileFails) {
   EXPECT_EQ(ReadCsv("/nonexistent/x.csv").status().code(),
             StatusCode::kIOError);
 }
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+TEST(CsvTest, WriteCsvEmitsExactBytes) {
+  Table t(Schema({{"age", 100}, {"income", 70000}, {"kids", 4}}));
+  ASSERT_TRUE(t.AppendRow({0, 0, 0}).ok());
+  ASSERT_TRUE(t.AppendRow({42, 65535, 3}).ok());
+  ASSERT_TRUE(t.AppendRow({7.4, 12.5, 2.6}).ok());  // Rounded half away.
+  ASSERT_TRUE(t.AppendRow({-3, 1e6, 1}).ok());
+  const std::string path = "/tmp/dpcopula_csv_bytes.csv";
+  ASSERT_TRUE(WriteCsv(t, path).ok());
+  EXPECT_EQ(ReadFile(path),
+            "age,income,kids\n"
+            "0,0,0\n"
+            "42,65535,3\n"
+            "7,13,3\n"
+            "-3,1000000,1\n");
+  std::remove(path.c_str());
+}
+
+TEST(CsvTest, RoundTripAcrossManyBufferFills) {
+  // ~0.9 MB of CSV: many fills of the 64 KiB read buffer, with rows split
+  // across fills, and a final row with no trailing newline.
+  Rng rng(3);
+  Table t(Schema({{"a", 1000000}, {"b", 7}, {"c", 100000}}));
+  for (int r = 0; r < 60000; ++r) {
+    ASSERT_TRUE(t.AppendRow({static_cast<double>(rng.NextInt64InRange(
+                                 0, 999999)),
+                             static_cast<double>(r % 7),
+                             static_cast<double>(rng.NextInt64InRange(
+                                 0, 99999))})
+                    .ok());
+  }
+  const std::string path = "/tmp/dpcopula_csv_fills.csv";
+  ASSERT_TRUE(WriteCsv(t, path).ok());
+  std::string bytes = ReadFile(path);
+  ASSERT_GT(bytes.size(), 10u * 64 * 1024);
+  bytes.pop_back();  // Drop the final '\n'.
+  WriteFile(path, bytes);
+  auto back = ReadCsvWithSchema(path, t.schema());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back->num_rows(), t.num_rows());
+  for (std::size_t j = 0; j < t.num_columns(); ++j) {
+    EXPECT_EQ(back->column(j), t.column(j)) << "column " << j;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CsvTest, LineLongerThanReadBuffer) {
+  // A 300-column table whose header and rows exceed the read buffer.
+  std::vector<Attribute> attrs;
+  for (int j = 0; j < 300; ++j) {
+    attrs.push_back({std::string(300, 'a').append(std::to_string(j)), 2});
+  }
+  Table t{Schema(attrs)};
+  ASSERT_TRUE(t.AppendRow(std::vector<double>(300, 1.0)).ok());
+  const std::string path = "/tmp/dpcopula_csv_long.csv";
+  ASSERT_TRUE(WriteCsv(t, path).ok());
+  auto back = ReadCsv(path);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->num_rows(), 1u);
+  EXPECT_EQ(back->schema().attribute(299).name, attrs[299].name);
+  EXPECT_DOUBLE_EQ(back->at(0, 299), 1.0);
+  std::remove(path.c_str());
+}
+
+TEST(CsvTest, CrlfLineEndingsLoad) {
+  const std::string path = "/tmp/dpcopula_csv_crlf.csv";
+  WriteFile(path, "a,b\r\n1,2\r\n\r\n3,4\r\n");
+  auto back = ReadCsv(path);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->schema().attribute(1).name, "b");
+  ASSERT_EQ(back->num_rows(), 2u);
+  EXPECT_DOUBLE_EQ(back->at(1, 0), 3.0);
+  EXPECT_DOUBLE_EQ(back->at(1, 1), 4.0);
+  // Only one '\r' is a line ending; a second one is part of the cell.
+  WriteFile(path, "a,b\n1,2\r\r\n");
+  EXPECT_FALSE(ReadCsv(path).ok());
+  std::remove(path.c_str());
+}
+
+TEST(CsvTest, OutOfRangeLiteralIsNonFinite) {
+  // 1e400 overflows a double: it reads as inf, as strtod gives, and the
+  // tolerant reader quarantines it; 1e-400 underflows to 0 and is kept.
+  const std::string path = "/tmp/dpcopula_csv_range.csv";
+  WriteFile(path, "a,b\n1e400,1\n1e-400,2\n");
+  ReadCsvOptions options;
+  options.max_bad_rows = 1;
+  auto read = ReadCsvTolerant(path, options);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->stats.bad_non_finite, 1u);
+  ASSERT_EQ(read->table.num_rows(), 1u);
+  EXPECT_EQ(read->table.at(0, 0), 0.0);
+  // The strict reader keeps the inf cell; inferring a domain from it fails.
+  auto strict = ReadCsvWithSchema(path, TwoColSchema());
+  ASSERT_TRUE(strict.ok()) << strict.status().ToString();
+  EXPECT_TRUE(std::isinf(strict->at(0, 0)));
+  EXPECT_EQ(ReadCsv(path).status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+// Each data row is whole tokens or it is quarantined under its reason.
+struct BadRowCase {
+  const char* row;
+  bool too_many_cells;  // Otherwise non-numeric.
+};
+
+void PrintTo(const BadRowCase& c, std::ostream* os) {
+  *os << '"' << c.row << '"';
+}
+
+class CsvWholeTokenTest : public ::testing::TestWithParam<BadRowCase> {};
+
+TEST_P(CsvWholeTokenTest, RejectsRow) {
+  const std::string path = "/tmp/dpcopula_csv_token.csv";
+  WriteFile(path, std::string("a,b\n1,2\n") + GetParam().row + "\n5,6\n");
+  EXPECT_FALSE(ReadCsv(path).ok());
+  ReadCsvOptions options;
+  options.max_bad_rows = 1;
+  auto read = ReadCsvTolerant(path, options);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->stats.rows_kept, 2u);
+  EXPECT_EQ(read->stats.bad_rows, 1u);
+  EXPECT_EQ(read->stats.first_bad_line, 3u);
+  EXPECT_EQ(read->stats.bad_too_many_cells,
+            GetParam().too_many_cells ? 1u : 0u);
+  EXPECT_EQ(read->stats.bad_non_numeric, GetParam().too_many_cells ? 0u : 1u);
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rows, CsvWholeTokenTest,
+    ::testing::Values(BadRowCase{"12abc,3", false}, BadRowCase{"0x10,3", false},
+                      BadRowCase{" 7,3", false}, BadRowCase{"7 ,3", false},
+                      BadRowCase{"+7,3", false}, BadRowCase{"1,,3", false},
+                      BadRowCase{"1,2,", true}));
 
 TEST(MarginSpecTest, ProbabilitiesNormalized) {
   for (const auto& spec :

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -9,6 +10,7 @@
 #include "hist/histogram.h"
 #include "hist/summed_area.h"
 #include "hist/wavelet.h"
+#include "reference/dct.h"
 
 namespace dpcopula::hist {
 namespace {
@@ -271,7 +273,8 @@ TEST(WaveletTest, SelectiveAxesMaskValidation) {
 
 TEST(DctTest, RoundTrip) {
   Rng rng(37);
-  for (std::size_t n : {1u, 2u, 5u, 16u, 97u}) {
+  for (std::size_t n : {1u, 2u, 3u, 5u, 16u, 96u, 97u, 511u, 1000u, 1020u,
+                        1024u, 4096u}) {
     std::vector<double> x(n);
     for (double& v : x) v = rng.NextGaussian();
     const auto back = InverseDct(ForwardDct(x));
@@ -279,6 +282,45 @@ TEST(DctTest, RoundTrip) {
       EXPECT_NEAR(back[i], x[i], 1e-10) << "n=" << n << " i=" << i;
     }
   }
+}
+
+// Largest |a_i - b_i| over the L2 norm of the signal both were built from.
+double RelativeMaxError(const std::vector<double>& a,
+                        const std::vector<double>& b, double norm) {
+  double worst = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    worst = std::max(worst, std::fabs(a[i] - b[i]));
+  }
+  return worst / norm;
+}
+
+TEST(DctTest, MatchesDirectReference) {
+  // Powers of two take the radix-2 path; everything else (the census
+  // domains 96, 511 and 1020 included) goes through Bluestein.
+  Rng rng(39);
+  for (std::size_t n : {1u, 2u, 3u, 5u, 16u, 96u, 97u, 511u, 1000u, 1020u,
+                        1024u, 4096u}) {
+    std::vector<double> x(n);
+    for (double& v : x) v = 100.0 * rng.NextGaussian();
+    const double norm =
+        std::sqrt(std::inner_product(x.begin(), x.end(), x.begin(), 0.0));
+    ASSERT_GT(norm, 0.0);
+    const auto fast = ForwardDct(x);
+    const auto direct = reference::ForwardDctDirect(x);
+    ASSERT_EQ(fast.size(), n);
+    EXPECT_LE(RelativeMaxError(fast, direct, norm), 1e-12)
+        << "forward n=" << n;
+    // x doubles as a coefficient vector for the inverse direction.
+    const auto fast_inv = InverseDct(x);
+    const auto direct_inv = reference::InverseDctDirect(x);
+    ASSERT_EQ(fast_inv.size(), n);
+    EXPECT_LE(RelativeMaxError(fast_inv, direct_inv, norm), 1e-12)
+        << "inverse n=" << n;
+    EXPECT_LE(RelativeMaxError(InverseDct(fast), x, norm), 1e-12)
+        << "round trip n=" << n;
+  }
+  EXPECT_TRUE(ForwardDct({}).empty());
+  EXPECT_TRUE(InverseDct({}).empty());
 }
 
 TEST(DctTest, OrthonormalParseval) {

@@ -300,6 +300,21 @@ TEST(SimplexProjectionTest, EmptyInput) {
   EXPECT_TRUE(ProjectToSimplex({}, 5.0).empty());
 }
 
+TEST(EfpaTest, PublishesLargeDomainQuickly) {
+  // A 20k-value attribute (raw incomes, zip codes) is one EFPA publish of
+  // two O(d log d) DCTs. The quadratic DCT took seconds here; the
+  // executable's ctest TIMEOUT turns a return to that cost into a failure.
+  Rng rng(29);
+  const auto counts = SmoothHistogram(20000);
+  auto noisy = PublishEfpaHistogram(counts, 1.0, &rng);
+  ASSERT_TRUE(noisy.ok());
+  ASSERT_EQ(noisy->size(), counts.size());
+  for (double v : *noisy) ASSERT_TRUE(std::isfinite(v));
+  EXPECT_LT(L2Error(counts, *noisy) / L2Error(counts, std::vector<double>(
+                                                          counts.size(), 0.0)),
+            0.1);
+}
+
 class EfpaEpsilonSweepTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(EfpaEpsilonSweepTest, OutputFiniteAtAllBudgets) {

@@ -1,19 +1,20 @@
 // Overhead of the observability layer on the end-to-end pipeline.
 //
-// Four runtime modes over identical Synthesize runs (same data, same
+// Three runtime modes over identical Synthesize runs (same data, same
 // seed, so the work is byte-identical by the determinism guarantee):
 //
 //   disabled         ObsConfig all off — one relaxed atomic load per
 //                    instrumentation site. This is the default for library
 //                    users and must stay within ~2% of a build with
 //                    -DDPCOPULA_OBS=OFF (compare externally by rebuilding).
-//   metrics          counters/gauges/histograms on, tracing off.
-//   metrics+trace    spans recorded, as `dpcopula --trace-json` configures.
-//   metrics+prof     stage scopes live, as `dpcopula --profile` configures.
+//   metrics          counters/gauges/histograms on, stage scopes timing,
+//                    tracing off — as `dpcopula --profile` configures.
+//   metrics+trace    spans recorded too, as `dpcopula --trace-json`
+//                    configures.
 //
 // Then micro-costs of the primitives themselves (Observe, Quantile,
-// StageScope both armed and disarmed), and finally the enforcement run:
-// the tiled sampler hot path with profiling on must stay within 2% of the
+// obs::Scope both armed and disarmed), and finally the enforcement run:
+// the tiled sampler hot path with metrics on must stay within 2% of the
 // same path with obs disabled — the budget DESIGN.md promises. A blown
 // budget exits non-zero; set DPCOPULA_BENCH_NO_ENFORCE=1 to report without
 // gating (e.g. on wildly noisy shared runners).
@@ -31,8 +32,7 @@
 #include "data/generator.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 #include "stats/empirical_cdf.h"
 
 using namespace dpcopula;  // NOLINT(build/namespaces) — bench binary.
@@ -71,7 +71,6 @@ void RunMicroCosts() {
 
   obs::ObsConfig on;
   on.metrics = true;
-  on.profile = true;
   obs::SetObsConfig(on);
   obs::MetricsRegistry::Global().ResetAll();
 
@@ -96,14 +95,14 @@ void RunMicroCosts() {
 
   bench::Timer armed_timer;
   for (std::size_t i = 0; i < kIters; ++i) {
-    obs::StageScope scope(obs::Stage::kTauPairs);
+    obs::Scope scope(obs::Stage::kTauPairs);
   }
   const double scope_armed_ns = NanosPerOp(kIters, armed_timer.Seconds());
 
   obs::SetObsConfig(obs::ObsConfig{});
   bench::Timer disarmed_timer;
   for (std::size_t i = 0; i < kIters; ++i) {
-    obs::StageScope scope(obs::Stage::kTauPairs);
+    obs::Scope scope(obs::Stage::kTauPairs);
   }
   const double scope_disarmed_ns = NanosPerOp(kIters, disarmed_timer.Seconds());
 
@@ -116,7 +115,7 @@ void RunMicroCosts() {
 }
 
 // ---------------------------------------------------------------------------
-// Enforcement: profiled sampler hot path within 2% of the unprofiled one.
+// Enforcement: the sampler hot path with metrics on within 2% of obs off.
 
 double MedianSamplerSeconds(const data::Schema& schema,
                             const std::vector<stats::EmpiricalCdf>& cdfs,
@@ -160,20 +159,20 @@ int RunSamplerBudget(std::size_t rows) {
   MedianSamplerSeconds(schema, cdfs, corr, rows, 1);  // Warm-up.
   const double plain = MedianSamplerSeconds(schema, cdfs, corr, rows, kRepeats);
 
-  obs::ObsConfig profiled;
-  profiled.profile = true;
-  obs::SetObsConfig(profiled);
+  obs::ObsConfig metrics;
+  metrics.metrics = true;
+  obs::SetObsConfig(metrics);
   obs::MetricsRegistry::Global().ResetAll();
   const double instrumented =
       MedianSamplerSeconds(schema, cdfs, corr, rows, kRepeats);
   obs::SetObsConfig(obs::ObsConfig{});
 
   const double overhead = 100.0 * (instrumented - plain) / plain;
-  std::printf("\n--- sampler hot path, profile budget (n=%zu, m=%zu) ---\n",
+  std::printf("\n--- sampler hot path, metrics budget (n=%zu, m=%zu) ---\n",
               rows, kDims);
   bench::PrintSeriesHeader("mode", {"median_s", "overhead_%"});
   bench::PrintSeriesRowLabel("uninstrumented", {plain, 0.0});
-  bench::PrintSeriesRowLabel("profiled", {instrumented, overhead});
+  bench::PrintSeriesRowLabel("metrics", {instrumented, overhead});
 
   constexpr double kBudgetPercent = 2.0;
   if (overhead > kBudgetPercent) {
@@ -183,7 +182,7 @@ int RunSamplerBudget(std::size_t rows) {
       return 0;
     }
     std::fprintf(stderr,
-                 "FAIL: profiled sampler %.2f%% over uninstrumented "
+                 "FAIL: metrics-on sampler %.2f%% over uninstrumented "
                  "(budget %.1f%%)\n",
                  overhead, kBudgetPercent);
     return 1;
@@ -223,16 +222,13 @@ int main() {
     const char* name;
     obs::ObsConfig config;
   };
-  std::vector<Mode> modes(4);
+  std::vector<Mode> modes(3);
   modes[0].name = "disabled";
   modes[1].name = "metrics";
   modes[1].config.metrics = true;
   modes[2].name = "metrics+trace";
   modes[2].config.metrics = true;
   modes[2].config.trace = true;
-  modes[3].name = "metrics+prof";
-  modes[3].config.metrics = true;
-  modes[3].config.profile = true;
 
   double baseline = 0.0;
   bench::PrintSeriesHeader("mode", {"median_s", "overhead_%"});

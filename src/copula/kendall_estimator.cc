@@ -15,8 +15,7 @@
 #include "linalg/psd_repair.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 #include "stats/distributions.h"
 #include "stats/kendall.h"
 
@@ -81,13 +80,13 @@ Result<std::vector<double>> RankCacheTaus(
   const std::size_t m = cols.size();
   std::vector<stats::RankColumn> ranks(m);
   {
-    obs::Span rank_span("kendall.rank_build");
+    obs::Scope rank_scope(obs::Stage::kKendallRankBuild);
     FirstFailure rank_failure;
     ParallelFor(
         0, m, /*grain=*/1,
         [&](std::size_t begin, std::size_t end) {
           for (std::size_t j = begin; j < end; ++j) {
-            obs::StageScope stage(obs::Stage::kRankCacheBuild);
+            obs::Scope stage(obs::Stage::kRankCacheBuild);
             auto built = stats::BuildRankColumn(*cols[j]);
             if (!built.ok()) {
               rank_failure.Record(j, built.status());
@@ -122,7 +121,7 @@ Result<std::vector<double>> RankCacheTaus(
         // call and any future estimate) runs allocation-free.
         static thread_local stats::TauWorkspace workspace;
         for (std::size_t i = begin; i < end; ++i) {
-          obs::StageScope stage(obs::Stage::kTauPairs);
+          obs::Scope stage(obs::Stage::kTauPairs);
           if (DPC_FAILPOINT_AT("kendall.pair_tau", i)) {
             pair_failure.Record(
                 i, failpoint::InjectedFault("kendall.pair_tau"));
@@ -240,7 +239,7 @@ Result<KendallEstimate> EstimateKendallCorrelation(
   linalg::PackedSymmetric packed(m);
   for (std::size_t j = 0; j < m; ++j) packed.at(j, j) = 1.0;
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    obs::StageScope noise_stage(obs::Stage::kLaplaceNoise);
+    obs::Scope noise_stage(obs::Stage::kLaplaceNoise);
     double noisy_tau = taus[i] + stats::SampleLaplace(&pair_rngs[i], scale);
     // Clamping into the valid tau range is post-processing and costs no
     // privacy.
@@ -256,15 +255,12 @@ Result<KendallEstimate> EstimateKendallCorrelation(
   est.per_pair_epsilon = epsilon2 / num_pairs;
   est.laplace_scale = scale;
   est.repaired = !linalg::IsPositiveDefinite(p);
-  {
-    obs::Span repair_span("psd_repair");
-    if (est.repaired) repairs_counter->Increment();
-    linalg::PsdRepairOptions repair_options;
-    repair_options.eigen_kernel = options.eigen_kernel;
-    repair_options.num_threads = options.num_threads;
-    DPC_ASSIGN_OR_RETURN(est.correlation,
-                         linalg::EnsureCorrelationMatrix(p, repair_options));
-  }
+  if (est.repaired) repairs_counter->Increment();
+  linalg::PsdRepairOptions repair_options;
+  repair_options.eigen_kernel = options.eigen_kernel;
+  repair_options.num_threads = options.num_threads;
+  DPC_ASSIGN_OR_RETURN(est.correlation,
+                       linalg::EnsureCorrelationMatrix(p, repair_options));
   return est;
 }
 
@@ -273,7 +269,7 @@ Result<KendallEstimate> EstimateKendallCorrelation(
 Result<KendallEstimate> EstimateKendallCorrelation(
     const data::Table& table, double epsilon2, Rng* rng,
     const KendallEstimatorOptions& options) {
-  obs::Span estimate_span("kendall.estimate");
+  obs::Scope estimate_scope(obs::Stage::kKendallEstimate);
   std::int64_t contingency_pairs = 0;
   DPC_ASSIGN_OR_RETURN(
       KendallEstimate est,

@@ -16,8 +16,7 @@
 #include "linalg/psd_repair.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 #include "stats/distributions.h"
 #include "stats/normal.h"
 
@@ -318,9 +317,6 @@ Status BuildColumnScores(const std::vector<double>& col, std::int64_t domain,
 Result<internal::PartitionFits> FitPartitionsBatched(
     const data::Table& table, std::int64_t l, std::int64_t b,
     int num_threads, obs::SpanId estimate_span_id) {
-  static obs::Histogram* const fit_seconds =
-      obs::MetricsRegistry::Global().GetHistogram(
-          "mle.partition_fit_seconds");
   const std::size_t m = table.num_columns();
   const auto rows_used = static_cast<std::size_t>(l * b);
   std::vector<double> scores(m * rows_used);
@@ -331,7 +327,8 @@ Result<internal::PartitionFits> FitPartitionsBatched(
   }
   std::vector<Status> col_status(m, Status::OK());
   {
-    obs::Span pseudo_span("mle.pseudo_obs", estimate_span_id);
+    obs::Scope pseudo_scope(obs::Stage::kMlePseudoObs, obs::kNoIndex,
+                            estimate_span_id);
     ParallelFor(
         0, m, /*grain=*/1,
         [&](std::size_t begin, std::size_t end) {
@@ -356,10 +353,9 @@ Result<internal::PartitionFits> FitPartitionsBatched(
       0, static_cast<std::size_t>(l), /*grain=*/1,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t ti = begin; ti < end; ++ti) {
-          obs::Span fit_span("mle.partition_fit[" + std::to_string(ti) + "]",
-                             estimate_span_id);
-          obs::ScopedTimer fit_timer(fit_seconds);
-          obs::StageScope fit_stage(obs::Stage::kMlePartitionFit);
+          obs::Scope fit_scope(obs::Stage::kMlePartitionFit,
+                               static_cast<std::int64_t>(ti),
+                               estimate_span_id);
           // Failpoint first, before any per-partition work, so an armed
           // fault shadows a data error.
           if (DPC_FAILPOINT_AT("mle.partition_fit", ti)) {
@@ -519,15 +515,12 @@ Result<MleEstimate> EstimateMleCorrelation(
   est.failed_partitions = failed;
   est.laplace_scale = scale;
   est.repaired = !linalg::IsPositiveDefinite(p);
-  {
-    obs::Span repair_span("psd_repair");
-    if (est.repaired) repairs_counter->Increment();
-    linalg::PsdRepairOptions repair_options;
-    repair_options.eigen_kernel = options.eigen_kernel;
-    repair_options.num_threads = options.num_threads;
-    DPC_ASSIGN_OR_RETURN(est.correlation,
-                         linalg::EnsureCorrelationMatrix(p, repair_options));
-  }
+  if (est.repaired) repairs_counter->Increment();
+  linalg::PsdRepairOptions repair_options;
+  repair_options.eigen_kernel = options.eigen_kernel;
+  repair_options.num_threads = options.num_threads;
+  DPC_ASSIGN_OR_RETURN(est.correlation,
+                       linalg::EnsureCorrelationMatrix(p, repair_options));
   return est;
 }
 
@@ -536,8 +529,8 @@ Result<MleEstimate> EstimateMleCorrelation(
 Result<MleEstimate> EstimateMleCorrelation(const data::Table& table,
                                            double epsilon2, Rng* rng,
                                            const MleEstimatorOptions& options) {
-  obs::Span estimate_span("mle.estimate");
-  const obs::SpanId estimate_span_id = estimate_span.id();
+  obs::Scope estimate_scope(obs::Stage::kMleEstimate);
+  const obs::SpanId estimate_span_id = estimate_scope.id();
   return internal::EstimateMleCorrelation(
       table, epsilon2, rng, options,
       [&](const data::Table& t, std::int64_t l, std::int64_t b) {

@@ -8,16 +8,16 @@
 #include "common/parallel.h"
 #include "linalg/cholesky.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
+#include "obs/scope.h"
 #include "stats/distributions.h"
 
 namespace dpcopula::copula {
 
 namespace {
 
-// Rows emitted across both samplers: with sampler.shard_seconds this gives
-// the rows/sec of Algorithm 3 (the report divides counter by histogram
-// sum). Updated once per shard, never per row.
+// Rows emitted across both samplers: with the three tile-stage histograms
+// (profile.gaussian_fill/cholesky_apply/inverse_cdf_seconds) this gives the
+// rows/sec of Algorithm 3. Updated once per shard, never per row.
 obs::Counter* RowsEmittedCounter() {
   static obs::Counter* const counter =
       obs::MetricsRegistry::Global().GetCounter("sampler.rows_emitted");
@@ -28,12 +28,6 @@ obs::Counter* TRowsEmittedCounter() {
   static obs::Counter* const counter =
       obs::MetricsRegistry::Global().GetCounter("sampler.t_rows_emitted");
   return counter;
-}
-
-obs::Histogram* ShardSecondsHistogram() {
-  static obs::Histogram* const histogram =
-      obs::MetricsRegistry::Global().GetHistogram("sampler.shard_seconds");
-  return histogram;
 }
 
 Status ValidateSamplerInputs(
@@ -109,7 +103,7 @@ Result<data::Table> SampleSyntheticData(
   // repair also runs CholeskyDecompose internally (the PD probe), and
   // stages must stay disjoint.
   DPC_ASSIGN_OR_RETURN(linalg::Matrix chol, [&] {
-    obs::StageScope stage(obs::Stage::kCholesky);
+    obs::Scope stage(obs::Stage::kCholesky);
     return linalg::CholeskyDecompose(correlation);
   }());
 
@@ -127,7 +121,6 @@ Result<data::Table> SampleSyntheticData(
   ParallelForSharded(
       0, num_rows, kSamplerShardRows, rng,
       [&](std::size_t row_begin, std::size_t row_end, Rng* shard_rng) {
-        obs::ScopedTimer shard_timer(ShardSecondsHistogram());
         RowsEmittedCounter()->Add(
             static_cast<std::int64_t>(row_end - row_begin));
         TileScratch scratch(m);
@@ -142,15 +135,15 @@ Result<data::Table> SampleSyntheticData(
             }
           }
           {
-            obs::StageScope stage(obs::Stage::kGaussianFill);
+            obs::Scope stage(obs::Stage::kGaussianFill);
             shard_rng->FillGaussian(scratch.z.data(), m * tile_rows);
           }
           {
-            obs::StageScope stage(obs::Stage::kCholeskyApply);
+            obs::Scope stage(obs::Stage::kCholeskyApply);
             ApplyCholeskyTile(chol, m, tile_rows, scratch.z.data(),
                               scratch.w.data());
           }
-          obs::StageScope stage(obs::Stage::kInverseCdf);
+          obs::Scope stage(obs::Stage::kInverseCdf);
           for (std::size_t j = 0; j < m; ++j) {
             double* col = out.mutable_column(j).data() + tile;
             const double* wj = scratch.w.data() + j * kSamplerTileRows;
@@ -179,7 +172,7 @@ Result<data::Table> SampleSyntheticDataT(
     return Status::InvalidArgument("t sampler: dof must be > 0");
   }
   DPC_ASSIGN_OR_RETURN(linalg::Matrix chol, [&] {
-    obs::StageScope stage(obs::Stage::kCholesky);
+    obs::Scope stage(obs::Stage::kCholesky);
     return linalg::CholeskyDecompose(correlation);
   }());
 
@@ -191,7 +184,6 @@ Result<data::Table> SampleSyntheticDataT(
   ParallelForSharded(
       0, num_rows, kSamplerShardRows, rng,
       [&](std::size_t row_begin, std::size_t row_end, Rng* shard_rng) {
-        obs::ScopedTimer shard_timer(ShardSecondsHistogram());
         RowsEmittedCounter()->Add(
             static_cast<std::int64_t>(row_end - row_begin));
         TRowsEmittedCounter()->Add(
@@ -211,7 +203,7 @@ Result<data::Table> SampleSyntheticDataT(
           {
             // Draw order within a tile is fixed: the Gaussian block first,
             // then one chi-squared mixing variable per record.
-            obs::StageScope stage(obs::Stage::kGaussianFill);
+            obs::Scope stage(obs::Stage::kGaussianFill);
             shard_rng->FillGaussian(scratch.z.data(), m * tile_rows);
             for (std::size_t r = 0; r < tile_rows; ++r) {
               const double w = stats::SampleChiSquared(shard_rng, dof);
@@ -219,11 +211,11 @@ Result<data::Table> SampleSyntheticDataT(
             }
           }
           {
-            obs::StageScope stage(obs::Stage::kCholeskyApply);
+            obs::Scope stage(obs::Stage::kCholeskyApply);
             ApplyCholeskyTile(chol, m, tile_rows, scratch.z.data(),
                               scratch.w.data());
           }
-          obs::StageScope stage(obs::Stage::kInverseCdf);
+          obs::Scope stage(obs::Stage::kInverseCdf);
           for (std::size_t j = 0; j < m; ++j) {
             double* col = out.mutable_column(j).data() + tile;
             const double* wj = scratch.w.data() + j * kSamplerTileRows;

@@ -11,8 +11,7 @@
 #include "marginals/postprocess.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 #include "stats/empirical_cdf.h"
 
 namespace dpcopula::core {
@@ -58,10 +57,7 @@ Result<SynthesisResult> Synthesize(const data::Table& table,
                                    const DpCopulaOptions& options, Rng* rng) {
   static obs::Counter* const runs_counter =
       obs::MetricsRegistry::Global().GetCounter("core.synthesize_runs");
-  static obs::Histogram* const run_seconds =
-      obs::MetricsRegistry::Global().GetHistogram("core.synthesize_seconds");
-  obs::Span run_span("synthesize");
-  obs::ScopedTimer run_timer(run_seconds);
+  obs::Scope run_scope(obs::Stage::kSynthesize);
   runs_counter->Increment();
 
   const std::size_t m = table.num_columns();
@@ -96,7 +92,7 @@ Result<SynthesisResult> Synthesize(const data::Table& table,
   // margins-only path with an identity copula.
   const bool estimate_correlation = (m >= 2) && (table.num_rows() >= 2);
   if (estimate_correlation) {
-    obs::Span split_span("budget_split");
+    obs::Scope split_scope(obs::Stage::kBudgetSplit);
     DPC_ASSIGN_OR_RETURN(BudgetSplit split, ComputeBudgetSplit(options));
     epsilon1 = split.epsilon1;
     epsilon2 = split.epsilon2;
@@ -115,9 +111,9 @@ Result<SynthesisResult> Synthesize(const data::Table& table,
   cdfs.reserve(m);
   result.noisy_marginals.reserve(m);
   {
-    obs::Span margins_span("margins");
+    obs::Scope margins_scope(obs::Stage::kMargins);
     for (std::size_t j = 0; j < m; ++j) {
-      obs::StageScope stage(obs::Stage::kMarginPublish);
+      obs::Scope publish_scope(obs::Stage::kMarginPublish);
       DPC_RETURN_NOT_OK(result.budget.Charge(
           eps_per_margin, "margin:" + table.schema().attribute(j).name,
           /*sensitivity=*/1.0));
@@ -167,7 +163,7 @@ Result<SynthesisResult> Synthesize(const data::Table& table,
   if (options.family == CopulaFamily::kEmpirical && estimate_correlation) {
     DPC_RETURN_NOT_OK(result.budget.Charge(epsilon2, "copula:empirical",
                                            /*sensitivity=*/1.0));
-    obs::Span empirical_span("correlation");
+    obs::Scope empirical_scope(obs::Stage::kCorrelation);
     DPC_ASSIGN_OR_RETURN(auto pseudo, copula::PseudoObservations(table));
     DPC_ASSIGN_OR_RETURN(
         copula::EmpiricalCopula ecop,
@@ -177,7 +173,7 @@ Result<SynthesisResult> Synthesize(const data::Table& table,
     result.family_used = CopulaFamily::kEmpirical;
     data::Table out = data::Table::Zeros(table.schema(), out_rows);
     {
-      obs::Span sampling_span("sampling");
+      obs::Scope sampling_scope(obs::Stage::kSampling);
       // Guide-table inversion, built once per marginal — same tables the
       // Gaussian/t tile kernels use.
       std::vector<stats::InverseCdfTable> inverse_tables;
@@ -205,7 +201,7 @@ Result<SynthesisResult> Synthesize(const data::Table& table,
     static obs::Counter* const degraded_counter =
         obs::MetricsRegistry::Global().GetCounter(
             "core.degraded_correlations");
-    obs::Span correlation_span("correlation");
+    obs::Scope correlation_scope(obs::Stage::kCorrelation);
     Status est_status = Status::OK();
     if (DPC_FAILPOINT("core.correlation_estimate")) {
       DPC_RETURN_NOT_OK(
@@ -276,7 +272,7 @@ Result<SynthesisResult> Synthesize(const data::Table& table,
   // vote). The vote mechanisms score partition counts, sensitivity 1.
   result.family_used = CopulaFamily::kGaussian;
   if (estimate_correlation && options.family != CopulaFamily::kGaussian) {
-    obs::Span family_span("family_selection");
+    obs::Scope family_scope(obs::Stage::kFamilySelection);
     if (options.family == CopulaFamily::kStudentT && options.t_dof > 0.0) {
       result.family_used = CopulaFamily::kStudentT;
       result.t_dof_used = options.t_dof;
@@ -317,7 +313,7 @@ Result<SynthesisResult> Synthesize(const data::Table& table,
 
   // Step 3: sample synthetic data (Algorithm 3) — pure post-processing.
   {
-    obs::Span sampling_span("sampling");
+    obs::Scope sampling_scope(obs::Stage::kSampling);
     if (result.family_used == CopulaFamily::kStudentT) {
       DPC_ASSIGN_OR_RETURN(
           result.synthetic,

@@ -7,7 +7,7 @@
 #include "common/parallel.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 #include "stats/distributions.h"
 
 namespace dpcopula::core {
@@ -36,10 +36,7 @@ Result<HybridResult> SynthesizeHybrid(const data::Table& table,
       obs::MetricsRegistry::Global().GetCounter("hybrid.partitions_skipped");
   static obs::Gauge* const noisy_count_gauge =
       obs::MetricsRegistry::Global().GetGauge("hybrid.last_noisy_count");
-  static obs::Histogram* const partition_seconds =
-      obs::MetricsRegistry::Global().GetHistogram(
-          "hybrid.partition_seconds");
-  obs::Span run_span("hybrid.synthesize");
+  obs::Scope run_scope(obs::Stage::kHybridSynthesize);
 
   if (!(options.epsilon > 0.0)) {
     return Status::InvalidArgument("hybrid: epsilon must be > 0");
@@ -145,14 +142,13 @@ Result<HybridResult> SynthesizeHybrid(const data::Table& table,
 
   // Workers run on pool threads, so they attach their spans to the run
   // span through an explicit handle rather than the thread-local stack.
-  const obs::SpanId run_span_id = run_span.id();
+  const obs::SpanId run_span_id = run_scope.id();
   ParallelFor(
       0, combos.size(), /*grain=*/1,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t p = begin; p < end; ++p) {
-          obs::Span part_span("hybrid.partition[" + std::to_string(p) + "]",
-                              run_span_id);
-          obs::ScopedTimer part_timer(partition_seconds);
+          obs::Scope part_scope(obs::Stage::kHybridPartition,
+                                static_cast<std::int64_t>(p), run_span_id);
           // Key any fail point evaluated inside this partition's work —
           // including generic sites deep in the inner Synthesize — to the
           // partition index, so a fault schedule fires on the same

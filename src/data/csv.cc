@@ -13,7 +13,7 @@
 #include "common/failpoint.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
+#include "obs/scope.h"
 
 namespace dpcopula::data {
 
@@ -29,7 +29,7 @@ constexpr std::size_t kMaxCellChars = 21;
 }  // namespace
 
 Status WriteCsv(const Table& table, const std::string& path) {
-  obs::StageScope stage(obs::Stage::kCsvWrite);
+  obs::Scope stage(obs::Stage::kCsvWrite);
   return WriteFileAtomic(path, [&](std::ostream& out) -> Status {
     const auto& schema = table.schema();
     std::string header;
@@ -200,7 +200,7 @@ Result<CsvReadResult> ReadCsvImpl(const std::string& path,
                                   const Schema* schema,
                                   const ReadCsvOptions& options,
                                   bool check_non_finite) {
-  obs::StageScope stage(obs::Stage::kCsvRead);
+  obs::Scope stage(obs::Stage::kCsvRead);
   static obs::Counter* const quarantined_counter =
       obs::MetricsRegistry::Global().GetCounter("csv.rows_quarantined");
 

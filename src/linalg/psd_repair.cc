@@ -8,7 +8,7 @@
 #include "linalg/eigen_sym.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
+#include "obs/scope.h"
 
 namespace dpcopula::linalg {
 
@@ -116,7 +116,7 @@ Result<Matrix> EnsureCorrelationMatrix(const Matrix& a,
                                        const PsdRepairOptions& options) {
   // Covers both the PD probe and (when needed) the eigen repair; the
   // sampler's own factorization is profiled separately as "cholesky".
-  obs::StageScope stage(obs::Stage::kPsdRepair);
+  obs::Scope stage(obs::Stage::kPsdRepair);
   if (a.rows() != a.cols() || !a.IsSymmetric(1e-9)) {
     return Status::InvalidArgument(
         "EnsureCorrelationMatrix requires a square symmetric matrix");

@@ -10,33 +10,21 @@ namespace dpcopula::marginals {
 
 namespace {
 
-// One publish counter + latency histogram per method, created lazily on the
-// first publish and cached for the process lifetime. Indexed by the enum so
-// the hot path never builds a metric-name string.
-struct MethodMetrics {
-  obs::Counter* publishes;
-  obs::Histogram* publish_seconds;
-};
-
-MethodMetrics& MetricsFor(MarginalMethod method) {
-  static MethodMetrics efpa = {
-      obs::MetricsRegistry::Global().GetCounter("marginals.efpa.publishes"),
-      obs::MetricsRegistry::Global().GetHistogram(
-          "marginals.efpa.publish_seconds")};
-  static MethodMetrics dwork = {
-      obs::MetricsRegistry::Global().GetCounter("marginals.dwork.publishes"),
-      obs::MetricsRegistry::Global().GetHistogram(
-          "marginals.dwork.publish_seconds")};
-  static MethodMetrics noisefirst = {
+// One publish counter per method, created lazily on the first publish and
+// cached for the process lifetime. Indexed by the enum so the hot path never
+// builds a metric-name string. Publish latency is core::Synthesize's
+// margin_publish stage.
+obs::Counter* PublishesFor(MarginalMethod method) {
+  static obs::Counter* const efpa =
+      obs::MetricsRegistry::Global().GetCounter("marginals.efpa.publishes");
+  static obs::Counter* const dwork =
+      obs::MetricsRegistry::Global().GetCounter("marginals.dwork.publishes");
+  static obs::Counter* const noisefirst =
       obs::MetricsRegistry::Global().GetCounter(
-          "marginals.noisefirst.publishes"),
-      obs::MetricsRegistry::Global().GetHistogram(
-          "marginals.noisefirst.publish_seconds")};
-  static MethodMetrics structurefirst = {
+          "marginals.noisefirst.publishes");
+  static obs::Counter* const structurefirst =
       obs::MetricsRegistry::Global().GetCounter(
-          "marginals.structurefirst.publishes"),
-      obs::MetricsRegistry::Global().GetHistogram(
-          "marginals.structurefirst.publish_seconds")};
+          "marginals.structurefirst.publishes");
   switch (method) {
     case MarginalMethod::kDwork:
       return dwork;
@@ -69,9 +57,7 @@ const char* MarginalMethodName(MarginalMethod method) {
 Result<std::vector<double>> PublishMarginal(MarginalMethod method,
                                             const std::vector<double>& counts,
                                             double epsilon, Rng* rng) {
-  MethodMetrics& metrics = MetricsFor(method);
-  metrics.publishes->Increment();
-  obs::ScopedTimer timer(metrics.publish_seconds);
+  PublishesFor(method)->Increment();
   switch (method) {
     case MarginalMethod::kEfpa:
       return PublishEfpaHistogram(counts, epsilon, rng);

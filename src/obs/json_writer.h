@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 
 /// Append-style JSON emission shared by the run report and the Chrome
 /// trace exporter. The schemas are small and fully known, so a handful of
@@ -13,7 +14,7 @@
 
 namespace dpcopula::obs::internal {
 
-inline void AppendJsonString(std::string* out, const std::string& s) {
+inline void AppendJsonString(std::string* out, std::string_view s) {
   *out += '"';
   for (char c : s) {
     switch (c) {

@@ -6,9 +6,7 @@ namespace dpcopula::obs {
 
 namespace internal {
 std::atomic<int> g_log_level{static_cast<int>(LogLevel::kOff)};
-std::atomic<bool> g_metrics_enabled{false};
-std::atomic<bool> g_trace_enabled{false};
-std::atomic<bool> g_profile_enabled{false};
+std::atomic<unsigned> g_switches{0};
 
 int ThreadIndex() {
   static std::atomic<int> next{0};
@@ -50,25 +48,10 @@ bool ParseLogLevel(const std::string& name, LogLevel* out) {
 void SetObsConfig(const ObsConfig& config) {
   internal::g_log_level.store(static_cast<int>(config.log_level),
                               std::memory_order_relaxed);
-  // Stage timings record through MetricsRegistry histograms, so profiling
-  // without metrics would silently record nothing; imply metrics instead.
-  internal::g_metrics_enabled.store(config.metrics || config.profile,
-                                    std::memory_order_relaxed);
-  internal::g_trace_enabled.store(config.trace, std::memory_order_relaxed);
-  internal::g_profile_enabled.store(config.profile,
-                                    std::memory_order_relaxed);
-}
-
-ObsConfig GetObsConfig() {
-  ObsConfig config;
-  config.log_level = static_cast<LogLevel>(
-      internal::g_log_level.load(std::memory_order_relaxed));
-  config.metrics =
-      internal::g_metrics_enabled.load(std::memory_order_relaxed);
-  config.trace = internal::g_trace_enabled.load(std::memory_order_relaxed);
-  config.profile =
-      internal::g_profile_enabled.load(std::memory_order_relaxed);
-  return config;
+  internal::g_switches.store(
+      (config.metrics ? internal::kMetricsSwitch : 0u) |
+          (config.trace ? internal::kTraceSwitch : 0u),
+      std::memory_order_relaxed);
 }
 
 namespace {

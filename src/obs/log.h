@@ -42,12 +42,8 @@ bool ParseLogLevel(const std::string& name, LogLevel* out);
 /// flow of the synthesis itself (the determinism tests enforce this).
 struct ObsConfig {
   LogLevel log_level = LogLevel::kOff;
-  bool metrics = false;  // MetricsRegistry updates.
+  bool metrics = false;  // MetricsRegistry updates, stage histograms included.
   bool trace = false;    // Span recording.
-  // Stage profiling (obs/profile.h): StageScope timings into the
-  // profile.* histograms. The profile histograms live in the
-  // MetricsRegistry, so enabling profiling implies metrics.
-  bool profile = false;
 };
 
 /// Installs `config` process-wide. Safe to call at any time; individual
@@ -55,14 +51,18 @@ struct ObsConfig {
 /// brief mixed state, the data release never depends on it).
 void SetObsConfig(const ObsConfig& config);
 
-/// The currently installed configuration.
-ObsConfig GetObsConfig();
-
 namespace internal {
 extern std::atomic<int> g_log_level;
-extern std::atomic<bool> g_metrics_enabled;
-extern std::atomic<bool> g_trace_enabled;
-extern std::atomic<bool> g_profile_enabled;
+
+/// The metrics and trace switches as one word, so an instrumentation scope
+/// decides whether it is armed with a single relaxed load.
+inline constexpr unsigned kMetricsSwitch = 1u;
+inline constexpr unsigned kTraceSwitch = 2u;
+extern std::atomic<unsigned> g_switches;
+
+inline unsigned Switches() {
+  return g_switches.load(std::memory_order_relaxed);
+}
 
 /// Small dense per-thread index (0, 1, 2, ...) used for metric sharding and
 /// span thread attribution. Assigned on first use per thread.
@@ -82,7 +82,7 @@ inline bool LogEnabled(LogLevel level) {
 
 inline bool MetricsEnabled() {
 #if DPCOPULA_OBS_ENABLED
-  return internal::g_metrics_enabled.load(std::memory_order_relaxed);
+  return (internal::Switches() & internal::kMetricsSwitch) != 0;
 #else
   return false;
 #endif
@@ -90,15 +90,7 @@ inline bool MetricsEnabled() {
 
 inline bool TraceEnabled() {
 #if DPCOPULA_OBS_ENABLED
-  return internal::g_trace_enabled.load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
-}
-
-inline bool ProfilingEnabled() {
-#if DPCOPULA_OBS_ENABLED
-  return internal::g_profile_enabled.load(std::memory_order_relaxed);
+  return (internal::Switches() & internal::kTraceSwitch) != 0;
 #else
   return false;
 #endif

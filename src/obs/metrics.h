@@ -2,7 +2,6 @@
 #define DPCOPULA_OBS_METRICS_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -162,31 +161,6 @@ class Histogram {
   std::atomic<std::int64_t> count_{0};
   std::atomic<std::int64_t> sum_nanos_{0};
   std::atomic<std::int64_t> max_nanos_{0};
-};
-
-/// RAII wall-clock timer feeding a Histogram. Reads the steady clock only
-/// when metrics are enabled.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram* histogram)
-      : histogram_(MetricsEnabled() ? histogram : nullptr) {
-    if (histogram_ != nullptr) {
-      start_ = std::chrono::steady_clock::now();
-    }
-  }
-  ~ScopedTimer() {
-    if (histogram_ != nullptr) {
-      histogram_->Observe(std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - start_)
-                              .count());
-    }
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Histogram* histogram_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 /// Process-wide registry. Metrics are created on first lookup and live for

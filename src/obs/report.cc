@@ -6,7 +6,7 @@
 
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 
 namespace dpcopula::obs {
 
@@ -26,6 +26,10 @@ struct SpanNode {
 void AppendSpanNode(std::string* out, const SpanNode& node) {
   *out += "{\"name\":";
   AppendJsonString(out, node.record->name);
+  if (node.record->index != kNoIndex) {
+    *out += ",\"index\":";
+    AppendJsonInt(out, node.record->index);
+  }
   *out += ",\"id\":";
   AppendJsonInt(out, static_cast<std::int64_t>(node.record->id));
   *out += ",\"start_ns\":";

@@ -55,7 +55,8 @@ inline BudgetAudit AuditFrom(const dp::BudgetAccountant& accountant) {
 ///                "entries": [...]}   // only when audit != nullptr
 ///   }
 ///
-/// Spans nest via "children" arrays ordered by start time; trace and
+/// Spans nest via "children" arrays ordered by start time; a span of one
+/// of many (a partition) carries its number as "index". Trace and
 /// metrics are read from the global Tracer / MetricsRegistry. The output
 /// is deterministic given identical trace/metric content (keys sorted,
 /// doubles printed with %.17g round-trip precision).

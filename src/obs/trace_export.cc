@@ -76,6 +76,10 @@ std::string RenderChromeTraceJson(const std::vector<SpanRecord>& spans,
     AppendJsonInt(&out, static_cast<std::int64_t>(span->id));
     out += ", \"parent\": ";
     AppendJsonInt(&out, static_cast<std::int64_t>(span->parent));
+    if (span->index != kNoIndex) {
+      out += ", \"index\": ";
+      AppendJsonInt(&out, span->index);
+    }
     out += "}}";
   }
 

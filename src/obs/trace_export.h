@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 
 namespace dpcopula::obs {
 
@@ -23,6 +23,8 @@ namespace dpcopula::obs {
 ///       {"name": "synthesize", "cat": "dpcopula", "ph": "X",
 ///        "ts": 12.345, "dur": 6789.012, "pid": 1, "tid": 0,
 ///        "args": {"id": 1, "parent": 0}},
+///       {"name": "hybrid.partition", ...,
+///        "args": {"id": 7, "parent": 5, "index": 3}},
 ///       ...
 ///     ]
 ///   }

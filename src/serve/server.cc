@@ -16,6 +16,7 @@
 #include "copula/sampler.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/scope.h"
 
 namespace dpcopula::serve {
 
@@ -213,13 +214,11 @@ void Server::HandleConnection(int fd) {
 }
 
 bool Server::Dispatch(int fd, const std::string& line) {
-  static obs::Histogram* const latency =
-      obs::MetricsRegistry::Global().GetHistogram("serve.request_seconds");
   static obs::Counter* const requests =
       obs::MetricsRegistry::Global().GetCounter("serve.requests");
   requests_.fetch_add(1, std::memory_order_relaxed);
   requests->Increment();
-  obs::ScopedTimer timer(latency);
+  obs::Scope request_scope(obs::Stage::kServeRequest);
   Result<Request> parsed = ParseRequestLine(line);
   if (!parsed.ok()) {
     errors_.fetch_add(1, std::memory_order_relaxed);

@@ -13,18 +13,22 @@
 #include <cstdlib>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "copula/mle_estimator.h"
 #include "core/dpcopula.h"
+#include "core/hybrid.h"
 #include "data/generator.h"
 #include "json_checker_test_util.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 #include "obs/trace_export.h"
 
 namespace dpcopula {
@@ -267,14 +271,14 @@ TEST_F(ObsTest, RegistryReturnsStablePointersAndSnapshots) {
 
 TEST_F(ObsTest, SpansNestViaThreadLocalStack) {
   {
-    obs::Span outer("outer");
+    obs::Scope outer(obs::Stage::kSynthesize);
     {
-      obs::Span middle("middle");
-      obs::Span inner("inner");
+      obs::Scope middle(obs::Stage::kCorrelation);
+      obs::Scope inner(obs::Stage::kKendallEstimate);
       (void)inner;
       (void)middle;
     }
-    obs::Span sibling("sibling");
+    obs::Scope sibling(obs::Stage::kSampling);
     (void)sibling;
     (void)outer;
   }
@@ -282,12 +286,15 @@ TEST_F(ObsTest, SpansNestViaThreadLocalStack) {
   const auto spans = obs::Tracer::Global().Snapshot();
   ASSERT_EQ(spans.size(), 4u);
   std::map<std::string, obs::SpanRecord> by_name;
-  for (const auto& s : spans) by_name[s.name] = s;
-  EXPECT_EQ(by_name["outer"].parent, obs::kNoSpan);
-  EXPECT_EQ(by_name["middle"].parent, by_name["outer"].id);
-  EXPECT_EQ(by_name["inner"].parent, by_name["middle"].id);
-  EXPECT_EQ(by_name["sibling"].parent, by_name["outer"].id);
-  for (const auto& s : spans) EXPECT_GE(s.duration_ns, 0);
+  for (const auto& s : spans) by_name[std::string(s.name)] = s;
+  EXPECT_EQ(by_name["synthesize"].parent, obs::kNoSpan);
+  EXPECT_EQ(by_name["correlation"].parent, by_name["synthesize"].id);
+  EXPECT_EQ(by_name["kendall.estimate"].parent, by_name["correlation"].id);
+  EXPECT_EQ(by_name["sampling"].parent, by_name["synthesize"].id);
+  for (const auto& s : spans) {
+    EXPECT_GE(s.duration_ns, 0);
+    EXPECT_EQ(s.index, obs::kNoIndex);
+  }
 #else
   EXPECT_TRUE(obs::Tracer::Global().Snapshot().empty());
 #endif
@@ -296,7 +303,7 @@ TEST_F(ObsTest, SpansNestViaThreadLocalStack) {
 TEST_F(ObsTest, ExplicitParentAttachesPoolWorkerSpans) {
   obs::SpanId parent_id = obs::kNoSpan;
   {
-    obs::Span phase("phase");
+    obs::Scope phase(obs::Stage::kHybridSynthesize);
     parent_id = phase.id();
     // Pool workers have an empty thread-local span stack; the explicit
     // handle is the only way these children can attach to `phase`.
@@ -304,7 +311,8 @@ TEST_F(ObsTest, ExplicitParentAttachesPoolWorkerSpans) {
         0, 8, /*grain=*/1,
         [&](std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) {
-            obs::Span child("worker_child", parent_id);
+            obs::Scope child(obs::Stage::kHybridPartition,
+                             static_cast<std::int64_t>(i), parent_id);
             (void)child;
           }
         },
@@ -313,19 +321,19 @@ TEST_F(ObsTest, ExplicitParentAttachesPoolWorkerSpans) {
 #if DPCOPULA_OBS_ENABLED
   const auto spans = obs::Tracer::Global().Snapshot();
   ASSERT_EQ(spans.size(), 9u);
-  int children = 0;
+  std::set<std::int64_t> indices;
   for (const auto& s : spans) {
-    if (s.name == "worker_child") {
+    if (s.name == "hybrid.partition") {
       EXPECT_EQ(s.parent, parent_id);
-      ++children;
+      indices.insert(s.index);
     }
   }
-  EXPECT_EQ(children, 8);
+  EXPECT_EQ(indices, (std::set<std::int64_t>{0, 1, 2, 3, 4, 5, 6, 7}));
 #endif
 }
 
 TEST_F(ObsTest, ResetDropsRecordedSpans) {
-  { obs::Span s("to_drop"); }
+  { obs::Scope s(obs::Stage::kMargins); }
   obs::Tracer::Global().Reset();
   EXPECT_TRUE(obs::Tracer::Global().Snapshot().empty());
   EXPECT_EQ(obs::Tracer::Global().dropped(), 0);
@@ -334,7 +342,7 @@ TEST_F(ObsTest, ResetDropsRecordedSpans) {
 TEST_F(ObsTest, TracerBufferIsBoundedAndCountsDrops) {
   constexpr std::size_t kExtra = 100;
   for (std::size_t i = 0; i < obs::Tracer::kMaxSpans + kExtra; ++i) {
-    obs::Span s("flood");
+    obs::Scope s(obs::Stage::kMargins);
   }
 #if DPCOPULA_OBS_ENABLED
   EXPECT_EQ(obs::Tracer::Global().Snapshot().size(), obs::Tracer::kMaxSpans);
@@ -347,7 +355,7 @@ TEST_F(ObsTest, TracerBufferIsBoundedAndCountsDrops) {
   EXPECT_EQ(dropped_counter->Value(), static_cast<std::int64_t>(kExtra));
   // Reset drains the buffer; new spans record again.
   obs::Tracer::Global().Reset();
-  { obs::Span s("after_reset"); }
+  { obs::Scope s(obs::Stage::kSampling); }
   EXPECT_EQ(obs::Tracer::Global().Snapshot().size(), 1u);
   EXPECT_EQ(obs::Tracer::Global().dropped(), 0);
 #else
@@ -359,12 +367,14 @@ TEST_F(ObsTest, TracerBufferIsBoundedAndCountsDrops) {
 // Chrome trace exporter.
 
 obs::SpanRecord MakeSpan(obs::SpanId id, obs::SpanId parent,
-                         const std::string& name, std::int64_t start_ns,
-                         std::int64_t duration_ns, int thread_index) {
+                         const char* name, std::int64_t start_ns,
+                         std::int64_t duration_ns, int thread_index,
+                         std::int64_t index = obs::kNoIndex) {
   obs::SpanRecord r;
   r.id = id;
   r.parent = parent;
   r.name = name;
+  r.index = index;
   r.start_ns = start_ns;
   r.duration_ns = duration_ns;
   r.thread_index = thread_index;
@@ -376,6 +386,7 @@ TEST_F(ObsTest, ChromeTraceRendersWellFormedCompleteEvents) {
   spans.push_back(MakeSpan(1, obs::kNoSpan, "synthesize", 1000, 900000, 0));
   spans.push_back(MakeSpan(2, 1, "margins", 2500, 10000, 0));
   spans.push_back(MakeSpan(3, 1, "sampling", 20000, 800500, 2));
+  spans.push_back(MakeSpan(4, 3, "hybrid.partition", 21000, 500, 2, 5));
   const std::string json = obs::RenderChromeTraceJson(spans, 7);
   EXPECT_TRUE(JsonChecker::Valid(json)) << json.substr(0, 400);
 
@@ -392,6 +403,10 @@ TEST_F(ObsTest, ChromeTraceRendersWellFormedCompleteEvents) {
   // Parent linkage travels in args for tooling that reconstructs the tree.
   EXPECT_NE(json.find("\"args\": {\"id\": 2, \"parent\": 1}"),
             std::string::npos);
+  // A partition span carries its number as an integer arg, not in its name.
+  EXPECT_NE(json.find("\"name\": \"hybrid.partition\", "), std::string::npos);
+  EXPECT_NE(json.find("\"args\": {\"id\": 4, \"parent\": 3, \"index\": 5}"),
+            std::string::npos);
   // Metadata events name the process and each thread track.
   EXPECT_NE(json.find("\"process_name\""), std::string::npos);
   EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
@@ -401,19 +416,17 @@ TEST_F(ObsTest, ChromeTraceRendersWellFormedCompleteEvents) {
 }
 
 TEST_F(ObsTest, ChromeTraceNestedSpansStayContained) {
-  { 
-    obs::Span outer("outer");
-    obs::Span inner("inner");
+  {
+    obs::Scope outer(obs::Stage::kSynthesize);
+    obs::Scope inner(obs::Stage::kMargins);
     (void)outer;
     (void)inner;
   }
 #if DPCOPULA_OBS_ENABLED
   const auto spans = obs::Tracer::Global().Snapshot();
   ASSERT_EQ(spans.size(), 2u);
-  const auto& inner =
-      spans[0].name == "inner" ? spans[0] : spans[1];
-  const auto& outer =
-      spans[0].name == "outer" ? spans[0] : spans[1];
+  const auto& inner = spans[0].name == "margins" ? spans[0] : spans[1];
+  const auto& outer = spans[0].name == "synthesize" ? spans[0] : spans[1];
   // Chrome interprets [ts, ts+dur]; the child interval must sit inside the
   // parent for the render to nest.
   EXPECT_GE(inner.start_ns, outer.start_ns);
@@ -421,8 +434,8 @@ TEST_F(ObsTest, ChromeTraceNestedSpansStayContained) {
             outer.start_ns + outer.duration_ns);
   const std::string json = obs::RenderChromeTraceJson();
   EXPECT_TRUE(JsonChecker::Valid(json));
-  EXPECT_NE(json.find("\"outer\""), std::string::npos);
-  EXPECT_NE(json.find("\"inner\""), std::string::npos);
+  EXPECT_NE(json.find("\"synthesize\""), std::string::npos);
+  EXPECT_NE(json.find("\"margins\""), std::string::npos);
 #endif
 }
 
@@ -488,12 +501,79 @@ TEST_F(ObsTest, RunReportJsonRoundTrips) {
     if (json.find(prefix) != std::string::npos) ++modules;
   }
   EXPECT_GE(modules, 4);
+  // Stage histograms come from the scopes; the per-module duplicates of
+  // them are gone.
+  for (const char* kept :
+       {"\"core.synthesize_seconds\"", "\"profile.margin_publish_seconds\"",
+        "\"profile.tau_pairs_seconds\"", "\"profile.inverse_cdf_seconds\""}) {
+    EXPECT_NE(json.find(kept), std::string::npos) << kept;
+  }
+  for (const char* deleted :
+       {"marginals.efpa.publish_seconds", "mle.partition_fit_seconds",
+        "sampler.shard_seconds"}) {
+    EXPECT_EQ(json.find(deleted), std::string::npos) << deleted;
+  }
 #endif
 
   // Null audit must also render valid JSON (eval / sample-only modes).
   const std::string no_budget = obs::RenderRunReportJson(nullptr);
   EXPECT_TRUE(JsonChecker::Valid(no_budget));
   EXPECT_EQ(no_budget.find("\"budget\""), std::string::npos);
+}
+
+// Partition spans: a static name plus an integer index, one span per
+// partition on whatever worker ran it, and no tile- or pair-grain stage in
+// the buffer.
+void ExpectPartitionSpans(const std::vector<obs::SpanRecord>& spans,
+                          std::string_view name, std::int64_t partitions) {
+  if (!DPCOPULA_OBS_ENABLED) {
+    EXPECT_TRUE(spans.empty());
+    return;
+  }
+  std::multiset<std::int64_t> indices;
+  for (const obs::SpanRecord& s : spans) {
+    EXPECT_EQ(s.name.find('['), std::string_view::npos) << s.name;
+    if (s.name == name) indices.insert(s.index);
+  }
+  std::multiset<std::int64_t> want;
+  for (std::int64_t p = 0; p < partitions; ++p) want.insert(p);
+  EXPECT_EQ(indices, want) << name;
+  for (const obs::StageInfo& info : obs::kStageTable) {
+    if (info.traced) continue;
+    for (const obs::SpanRecord& s : spans) {
+      EXPECT_NE(s.name, info.name) << "untraced stage recorded as a span";
+    }
+  }
+  EXPECT_EQ(obs::Tracer::Global().dropped(), 0);
+}
+
+TEST_F(ObsTest, PartitionSpansCarryIndicesNotNames) {
+  Rng data_rng(31);
+  const std::vector<data::MarginSpec> specs = {
+      data::MarginSpec::Uniform("small", 4),
+      data::MarginSpec::Gaussian("a", 40),
+      data::MarginSpec::Zipf("b", 30, 1.0)};
+  const data::Table table = *data::GenerateGaussianDependent(
+      specs, *data::Equicorrelation(3, 0.3), 4000, &data_rng);
+
+  core::HybridOptions hybrid;
+  hybrid.num_threads = 4;
+  Rng hybrid_rng(8);
+  auto hybrid_result = core::SynthesizeHybrid(table, hybrid, &hybrid_rng);
+  ASSERT_TRUE(hybrid_result.ok()) << hybrid_result.status().ToString();
+  EXPECT_EQ(hybrid_result->num_partitions, 4);
+  ExpectPartitionSpans(obs::Tracer::Global().Snapshot(), "hybrid.partition",
+                       hybrid_result->num_partitions);
+
+  obs::Tracer::Global().Reset();
+  copula::MleEstimatorOptions mle;
+  mle.num_threads = 4;
+  Rng mle_rng(9);
+  auto estimate = copula::EstimateMleCorrelation(table, 1.0, &mle_rng, mle);
+  ASSERT_TRUE(estimate.ok()) << estimate.status().ToString();
+  EXPECT_GT(estimate->num_partitions, 1);
+  ExpectPartitionSpans(obs::Tracer::Global().Snapshot(), "mle.partition_fit",
+                       estimate->num_partitions);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-// Stage profiler: fixed stage table, RAII scope recording, the stage-sum
+// Stage profiler: the fixed stage table, obs::Scope recording, the stage-sum
 // accounting guarantee (single-threaded stage totals track the wall clock
 // of the instrumented region), peak-RSS sampling, and graceful hardware
 // counter fallback in containers that deny perf_event_open.
@@ -19,6 +19,7 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
+#include "obs/scope.h"
 #include "stats/empirical_cdf.h"
 
 namespace dpcopula::obs {
@@ -28,65 +29,121 @@ class ProfileTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ObsConfig config;
-    config.profile = true;
+    config.metrics = true;
     SetObsConfig(config);
     MetricsRegistry::Global().ResetAll();
   }
   void TearDown() override { SetObsConfig(ObsConfig{}); }
 };
 
-TEST_F(ProfileTest, StageNamesAreStableAndDistinct) {
-  std::set<std::string> seen;
-  for (int i = 0; i < kNumProfileStages; ++i) {
-    const std::string name = StageName(static_cast<Stage>(i));
-    EXPECT_FALSE(name.empty());
-    // snake_case, safe for metric keys.
-    for (char c : name) {
-      EXPECT_TRUE((c >= 'a' && c <= 'z') || c == '_') << name;
+Histogram* StageHistogram(Stage stage) {
+  return MetricsRegistry::Global().GetHistogram(InfoOf(stage).histogram);
+}
+
+TEST_F(ProfileTest, StageTableIsStableAndDistinct) {
+  std::set<std::string> names;
+  std::set<std::string> histograms;
+  for (const StageInfo& info : kStageTable) {
+    EXPECT_TRUE(names.insert(info.name).second)
+        << "duplicate stage name " << info.name;
+    if (info.histogram != nullptr) {
+      EXPECT_TRUE(histograms.insert(info.histogram).second) << info.histogram;
     }
-    EXPECT_TRUE(seen.insert(name).second) << "duplicate stage name " << name;
+  }
+  // The twelve leaves, kCsvRead..kInverseCdf, are exactly the
+  // profile.<snake_case>_seconds histograms.
+  EXPECT_EQ(static_cast<int>(Stage::kInverseCdf), 11);
+  for (int i = 0; i < kNumStages; ++i) {
+    const std::string histogram =
+        kStageTable[i].histogram == nullptr ? "" : kStageTable[i].histogram;
+    const bool profile = histogram.rfind("profile.", 0) == 0;
+    EXPECT_EQ(profile, i <= static_cast<int>(Stage::kInverseCdf))
+        << histogram;
+    if (!profile) continue;
+    const std::string stem = histogram.substr(8, histogram.size() - 16);
+    EXPECT_EQ(histogram, "profile." + stem + "_seconds");
+    for (char c : stem) {
+      EXPECT_TRUE((c >= 'a' && c <= 'z') || c == '_') << histogram;
+    }
   }
   EXPECT_STREQ(StageName(Stage::kCsvRead), "csv_read");
   EXPECT_STREQ(StageName(Stage::kTauPairs), "tau_pairs");
   EXPECT_STREQ(StageName(Stage::kInverseCdf), "inverse_cdf");
+  EXPECT_STREQ(StageName(Stage::kMlePartitionFit), "mle.partition_fit");
+  EXPECT_STREQ(InfoOf(Stage::kMlePartitionFit).histogram,
+               "profile.mle_partition_fit_seconds");
+  // The inclusive histograms keep their module names.
+  EXPECT_STREQ(InfoOf(Stage::kSynthesize).histogram, "core.synthesize_seconds");
+  EXPECT_STREQ(InfoOf(Stage::kHybridPartition).histogram,
+               "hybrid.partition_seconds");
+  EXPECT_STREQ(InfoOf(Stage::kServeRequest).histogram,
+               "serve.request_seconds");
+  // Tile- and pair-grain stages are never traced.
+  for (Stage s : {Stage::kGaussianFill, Stage::kCholeskyApply,
+                  Stage::kInverseCdf, Stage::kTauPairs, Stage::kLaplaceNoise,
+                  Stage::kRankCacheBuild}) {
+    EXPECT_FALSE(InfoOf(s).traced) << StageName(s);
+  }
 }
 
-TEST_F(ProfileTest, StageScopeRecordsIntoRegistryHistogram) {
+TEST_F(ProfileTest, ScopeRecordsIntoRegistryHistogram) {
   {
-    StageScope scope(Stage::kTauPairs);
+    Scope scope(Stage::kTauPairs);
     // Spin a little so the recorded duration is visibly non-zero.
     volatile double sink = 0.0;
     for (int i = 0; i < 1000; ++i) sink = sink + static_cast<double>(i);
   }
-#if DPCOPULA_OBS_ENABLED
-  Histogram* direct = StageProfiler::Global().histogram(Stage::kTauPairs);
-  Histogram* via_registry =
+  Histogram* h =
       MetricsRegistry::Global().GetHistogram("profile.tau_pairs_seconds");
-  EXPECT_EQ(direct, via_registry);  // Same object, not a copy.
-  EXPECT_EQ(direct->Count(), 1);
-  EXPECT_GE(direct->Sum(), 0.0);
+#if DPCOPULA_OBS_ENABLED
+  EXPECT_EQ(h->Count(), 1);
+  EXPECT_GE(h->Sum(), 0.0);
 #else
   // The registry hands out real (no-op) histogram objects either way.
-  EXPECT_EQ(StageProfiler::Global().histogram(Stage::kTauPairs)->Count(), 0);
+  EXPECT_EQ(h->Count(), 0);
 #endif
 }
 
-TEST_F(ProfileTest, StageScopeIsInertWhenProfilingDisabled) {
-  ObsConfig config;
-  config.metrics = true;  // Metrics on, profiling off.
-  SetObsConfig(config);
-  { StageScope scope(Stage::kCholesky); }
-#if DPCOPULA_OBS_ENABLED
-  EXPECT_EQ(StageProfiler::Global().histogram(Stage::kCholesky)->Count(), 0);
-#endif
+TEST_F(ProfileTest, ScopeIsInertWhenObsDisabled) {
+  SetObsConfig(ObsConfig{});
+  {
+    Scope scope(Stage::kCholesky);
+    EXPECT_EQ(scope.id(), kNoSpan);
+  }
+  EXPECT_EQ(StageHistogram(Stage::kCholesky)->Count(), 0);
+  EXPECT_TRUE(Tracer::Global().Snapshot().empty());
 }
 
-TEST_F(ProfileTest, StageProfilerResetZeroesAllStages) {
-  { StageScope scope(Stage::kPsdRepair); }
-  StageProfiler::Global().Reset();
 #if DPCOPULA_OBS_ENABLED
-  EXPECT_EQ(StageProfiler::Global().histogram(Stage::kPsdRepair)->Count(), 0);
-#endif
+TEST_F(ProfileTest, ScopeSwitchesAreIndependent) {
+  Tracer::Global().Reset();
+  {
+    Scope scope(Stage::kCholesky);  // Metrics only: histogram, no span.
+    EXPECT_EQ(scope.id(), kNoSpan);
+  }
+  EXPECT_EQ(StageHistogram(Stage::kCholesky)->Count(), 1);
+  EXPECT_TRUE(Tracer::Global().Snapshot().empty());
+
+  ObsConfig trace_only;
+  trace_only.trace = true;
+  SetObsConfig(trace_only);
+  {
+    Scope scope(Stage::kCholesky);  // Trace only: span, no histogram.
+    EXPECT_NE(scope.id(), kNoSpan);
+  }
+  { Scope tile(Stage::kGaussianFill); }  // Never traced.
+  EXPECT_EQ(StageHistogram(Stage::kCholesky)->Count(), 1);
+  const std::vector<SpanRecord> spans = Tracer::Global().Snapshot();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "cholesky");
+  Tracer::Global().Reset();
+}
+#endif  // DPCOPULA_OBS_ENABLED
+
+TEST_F(ProfileTest, RegistryResetZeroesStageHistograms) {
+  { Scope scope(Stage::kPsdRepair); }
+  MetricsRegistry::Global().ResetAll();
+  EXPECT_EQ(StageHistogram(Stage::kPsdRepair)->Count(), 0);
 }
 
 #if DPCOPULA_OBS_ENABLED
@@ -115,7 +172,7 @@ TEST_F(ProfileTest, SingleThreadStageSumsTrackWallClock) {
   }
   linalg::Matrix corr = *data::Equicorrelation(kDims, 0.4);
 
-  StageProfiler::Global().Reset();
+  MetricsRegistry::Global().ResetAll();
   Rng rng(1234);
   const auto wall_start = std::chrono::steady_clock::now();
   auto table = copula::SampleSyntheticData(schema, cdfs, corr, kRows, &rng,
@@ -129,12 +186,12 @@ TEST_F(ProfileTest, SingleThreadStageSumsTrackWallClock) {
                                   Stage::kCholeskyApply, Stage::kInverseCdf};
   double stage_sum = 0.0;
   for (Stage s : kSamplerStages) {
-    stage_sum += StageProfiler::Global().histogram(s)->Sum();
+    stage_sum += StageHistogram(s)->Sum();
   }
   // Tile-grain stages fire once per tile; the fill and apply tilings match.
-  EXPECT_EQ(StageProfiler::Global().histogram(Stage::kGaussianFill)->Count(),
-            StageProfiler::Global().histogram(Stage::kCholeskyApply)->Count());
-  EXPECT_EQ(StageProfiler::Global().histogram(Stage::kCholesky)->Count(), 1);
+  EXPECT_EQ(StageHistogram(Stage::kGaussianFill)->Count(),
+            StageHistogram(Stage::kCholeskyApply)->Count());
+  EXPECT_EQ(StageHistogram(Stage::kCholesky)->Count(), 1);
   // Disjoint scopes can never exceed the wall clock that contains them
   // (2% slack for clock-read jitter at tile granularity)...
   EXPECT_LE(stage_sum, wall * 1.02)
@@ -203,7 +260,7 @@ TEST_F(ProfileTest, ProfileSessionPublishesGauges) {
 #endif
 }
 
-TEST_F(ProfileTest, ProfileSessionIsInertWhenProfilingDisabled) {
+TEST_F(ProfileTest, ProfileSessionIsInertWhenMetricsDisabled) {
   SetObsConfig(ObsConfig{});
   MetricsRegistry::Global().ResetAll();
   { ProfileSession session; }

@@ -27,6 +27,7 @@
 
 #include "common/atomic_file.h"
 #include "common/status.h"
+#include "flags.h"
 
 namespace {
 
@@ -213,8 +214,12 @@ int main(int argc, char** argv) {
       label = argv[++i];
     } else if (arg == "--check") {
       check = true;
-    } else if (arg == "--max-drop" && i + 1 < argc) {
-      max_drop = std::strtod(argv[++i], nullptr);
+    } else if (arg == "--max-drop") {
+      const char* value = i + 1 < argc ? argv[++i] : nullptr;
+      if (!dpcopula::tools::ParseNumericFlag(arg, value, &max_drop, 0.0,
+                                             1.0)) {
+        return Usage();
+      }
     } else {
       return Usage();
     }

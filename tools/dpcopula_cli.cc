@@ -25,14 +25,14 @@
 //                       overrides --max-bad-rows)
 //   --model-out PATH    also save the fitted DP model (non-hybrid only)
 //   --model-in PATH     skip fitting: load a saved model and sample from it
-//   --trace-json PATH   write a JSON run report (span tree, metrics, budget
-//                       audit) after the run; also enables tracing/metrics
+//   --trace-json PATH   write a JSON run report (span tree, metrics with the
+//                       per-stage latency histograms, budget audit) after
+//                       the run; also enables tracing/metrics
 //   --trace-chrome PATH write the span timeline in Chrome trace-event JSON
 //                       (load in Perfetto / chrome://tracing); also enables
 //                       tracing
-//   --profile           enable the stage profiler: per-stage latency
-//                       histograms, peak RSS, and hardware counters where
-//                       the kernel allows them (implies metrics)
+//   --profile           enable metrics and record peak RSS and hardware
+//                       counters where the kernel allows them
 //   --log-level LEVEL   trace|debug|info|warn|error|off (default warn)
 #include <cstdio>
 #include <cstring>
@@ -210,10 +210,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   // --trace-json needs both the span tree and the metrics section;
-  // --trace-chrome only the spans; --profile implies metrics.
+  // --trace-chrome only the spans; --profile the metrics, whose stage
+  // histograms and hardware-counter gauges it reports.
   obs_config.trace = !args.trace_json.empty() || !args.trace_chrome.empty();
-  obs_config.metrics = !args.trace_json.empty();
-  obs_config.profile = args.profile;
+  obs_config.metrics = !args.trace_json.empty() || args.profile;
   obs::SetObsConfig(obs_config);
 
   // Hardware counters run across the whole process (CSV IO included); the

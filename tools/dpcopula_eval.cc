@@ -15,11 +15,11 @@
 // threads); the report is identical for every thread count.
 // --max-bad-rows quarantines up to N malformed/non-finite rows per input
 // file (strict by default; --strict-csv forces the default explicitly).
-// --trace-json writes a JSON run report (phase spans + metrics; no budget
-// section — evaluation spends no privacy). --trace-chrome writes the span
-// timeline in Chrome trace-event JSON (Perfetto / chrome://tracing).
-// --profile enables the stage profiler (per-stage histograms, peak RSS,
-// hardware counters where the kernel allows them).
+// --trace-json writes a JSON run report (phase spans + metrics with the
+// per-stage histograms; no budget section — evaluation spends no privacy).
+// --trace-chrome writes the span timeline in Chrome trace-event JSON
+// (Perfetto / chrome://tracing). --profile enables metrics and records peak
+// RSS and hardware counters where the kernel allows them.
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -31,7 +31,7 @@
 #include "obs/log.h"
 #include "obs/profile.h"
 #include "obs/report.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 #include "obs/trace_export.h"
 #include "query/evaluator.h"
 #include "query/fidelity_metrics.h"
@@ -137,8 +137,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   obs_config.trace = !args.trace_json.empty() || !args.trace_chrome.empty();
-  obs_config.metrics = !args.trace_json.empty();
-  obs_config.profile = args.profile;
+  obs_config.metrics = !args.trace_json.empty() || args.profile;
   obs::SetObsConfig(obs_config);
 
   // Closed before the reports render so the profile gauges land in them.
@@ -203,7 +202,7 @@ int main(int argc, char** argv) {
 
   // Overall workload accuracy.
   {
-    obs::Span workload_span("eval.workload");
+    obs::Scope workload_scope(obs::Stage::kEvalWorkload);
     const auto workload =
         query::RandomWorkload(original->schema(), args.queries, &rng);
     auto eval =
@@ -236,7 +235,7 @@ int main(int argc, char** argv) {
 
   // Statistical fidelity report.
   {
-    obs::Span fidelity_span("eval.fidelity");
+    obs::Scope fidelity_scope(obs::Stage::kEvalFidelity);
     auto fidelity = query::EvaluateFidelity(*original, *synthetic);
     if (fidelity.ok()) {
       std::printf("\nstatistical fidelity:\n");
@@ -253,7 +252,7 @@ int main(int argc, char** argv) {
 
   // Privacy audit.
   {
-    obs::Span dcr_span("eval.dcr");
+    obs::Scope dcr_scope(obs::Stage::kEvalDcr);
     auto dcr = query::DistanceToClosestRecord(
         *synthetic, *original, /*max_rows=*/2000, args.threads);
     if (dcr.ok()) {

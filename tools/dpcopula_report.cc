@@ -435,7 +435,7 @@ bool AppendRunReportSection(const std::string& path, const JsonValue& report,
     *out += stage_table;
     *out += "\nStage total: " + FormatSeconds(stage_total_seconds) + "\n\n";
   } else {
-    *out += "No stage profile recorded (run with `--profile`).\n\n";
+    *out += "No stage profile recorded (metrics were off).\n\n";
   }
 
   // Profile gauges: peak RSS + hardware counters.

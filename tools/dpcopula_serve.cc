@@ -267,8 +267,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   obs_config.trace = !args.trace_json.empty() || !args.trace_chrome.empty();
-  obs_config.metrics = !args.trace_json.empty();
-  obs_config.profile = args.profile;
+  obs_config.metrics = !args.trace_json.empty() || args.profile;
   obs::SetObsConfig(obs_config);
   std::optional<obs::ProfileSession> profile_session;
   if (args.profile) profile_session.emplace();

@@ -4,7 +4,7 @@
 // Kendall budget tiny, so the noisy tau matrix is far from PSD and the
 // m x m eigenvalue repair dominates at large m -- the regime this
 // benchmark exists to track. Rows/sec is reported via SetItemsProcessed
-// so tools/bench_to_json extracts items_per_second into
+// so `dpcopula_report ingest` extracts items_per_second into
 // BENCH_highdim.json.
 //
 // The acceptance pair is BM_HighDimEstimateRepair_{TridiagQL,Jacobi}/200:

@@ -3,8 +3,8 @@
 // reference estimator in tests/reference) against the rank-cache
 // production kernel (per-column rank structures built once; contingency
 // table or counting-sort + merge-count per pair, reusable per-thread
-// workspaces). Rows/sec is reported via SetItemsProcessed so
-// tools/bench_to_json extracts items_per_second into BENCH_kendall.json.
+// workspaces). Rows/sec is reported via SetItemsProcessed, the figure
+// `dpcopula_report ingest` extracts into BENCH_kendall.json.
 // The acceptance configuration is m = 10, N = 1M, single thread: the
 // rank-cache kernel must hold >= 3x the legacy kernel's rows/sec.
 #include <benchmark/benchmark.h>

@@ -3,9 +3,9 @@
 // (the reference estimator in tests/reference) against the batched
 // production kernel (one rank sort per column shared by all l partitions,
 // one batched Phi^-1 per distinct value bin, flat reusable workspaces,
-// 256-row blocked correlation). Rows/sec is reported
-// via SetItemsProcessed so tools/bench_to_json extracts items_per_second
-// into BENCH_mle.json. The acceptance configuration is m = 10, N = 1M,
+// 256-row blocked correlation). Rows/sec is reported via SetItemsProcessed,
+// the figure `dpcopula_report ingest` extracts into BENCH_mle.json. The
+// acceptance configuration is m = 10, N = 1M,
 // epsilon2 = 1 (the paper's rule picks l = 1800, b = 555), single thread:
 // the batched kernel must hold >= 3x the legacy kernel's rows/sec.
 #include <benchmark/benchmark.h>

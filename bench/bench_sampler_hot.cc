@@ -4,8 +4,8 @@
 // against the tiled production pipeline
 // (ziggurat fill + blocked Cholesky + guide-table inversion). Rows/sec is
 // reported via SetItemsProcessed, so google-benchmark's items_per_second
-// field is the figure of merit that tools/bench_to_json extracts into
-// BENCH_sampler.json. The acceptance configuration is m = 10, N = 1M,
+// field is the figure of merit that `dpcopula_report ingest` extracts
+// into BENCH_sampler.json. The acceptance configuration is m = 10, N = 1M,
 // single thread.
 #include <benchmark/benchmark.h>
 

@@ -2,8 +2,8 @@
 // over real loopback TCP by 1/2/4/8 persistent client threads, each
 // running closed-loop SAMPLE requests (64 rows, epsilon 0 — free replay,
 // so the ledger admits forever). Reported per configuration:
-//   - rows/sec via SetItemsProcessed (the figure bench_to_json extracts
-//     into BENCH_serve.json for the drop gate),
+//   - rows/sec via SetItemsProcessed (the figure `dpcopula_report
+//     ingest` extracts into BENCH_serve.json for the drop gate),
 //   - qps (requests/sec, summed across client threads),
 //   - client-observed latency p50/p99/p99.9 in microseconds (averaged
 //     across client threads).

@@ -7,10 +7,10 @@
 #include <string>
 #include <string_view>
 
-/// Append-style JSON emission shared by the run report and the Chrome
-/// trace exporter. The schemas are small and fully known, so a handful of
-/// helpers beats dragging in a JSON library (the container has none).
-/// Internal to obs — tools re-implement their own parsing side.
+/// Append-style JSON emission shared by the run report, the Chrome trace
+/// exporter and the bench-ledger writer. The schemas are small and fully
+/// known, so a handful of helpers beats dragging in a JSON library. The
+/// parsing side is obs/json_reader.h.
 
 namespace dpcopula::obs::internal {
 

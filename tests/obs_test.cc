@@ -10,7 +10,9 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <set>
@@ -24,7 +26,8 @@
 #include "core/dpcopula.h"
 #include "core/hybrid.h"
 #include "data/generator.h"
-#include "json_checker_test_util.h"
+#include "obs/json_reader.h"
+#include "obs/json_writer.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -34,19 +37,7 @@
 namespace dpcopula {
 namespace {
 
-using test::JsonChecker;
-
-// Sums every `"key": <number>` occurrence at or after `from`.
-double SumNumbersForKey(const std::string& json, const std::string& key,
-                        std::size_t from = 0) {
-  const std::string needle = "\"" + key + "\":";  // Compact JSON, no space.
-  double sum = 0.0;
-  for (std::size_t p = json.find(needle, from); p != std::string::npos;
-       p = json.find(needle, p + 1)) {
-    sum += std::strtod(json.c_str() + p + needle.size(), nullptr);
-  }
-  return sum;
-}
+bool ValidJson(const std::string& text) { return obs::ParseJson(text).ok(); }
 
 class ObsTest : public ::testing::Test {
  protected:
@@ -388,7 +379,7 @@ TEST_F(ObsTest, ChromeTraceRendersWellFormedCompleteEvents) {
   spans.push_back(MakeSpan(3, 1, "sampling", 20000, 800500, 2));
   spans.push_back(MakeSpan(4, 3, "hybrid.partition", 21000, 500, 2, 5));
   const std::string json = obs::RenderChromeTraceJson(spans, 7);
-  EXPECT_TRUE(JsonChecker::Valid(json)) << json.substr(0, 400);
+  EXPECT_TRUE(ValidJson(json)) << json.substr(0, 400);
 
   // One "X" (complete) event per span with microsecond ts/dur at
   // nanosecond precision, pid 1, and the recording thread as tid.
@@ -433,7 +424,7 @@ TEST_F(ObsTest, ChromeTraceNestedSpansStayContained) {
   EXPECT_LE(inner.start_ns + inner.duration_ns,
             outer.start_ns + outer.duration_ns);
   const std::string json = obs::RenderChromeTraceJson();
-  EXPECT_TRUE(JsonChecker::Valid(json));
+  EXPECT_TRUE(ValidJson(json));
   EXPECT_NE(json.find("\"synthesize\""), std::string::npos);
   EXPECT_NE(json.find("\"margins\""), std::string::npos);
 #endif
@@ -441,14 +432,140 @@ TEST_F(ObsTest, ChromeTraceNestedSpansStayContained) {
 
 TEST_F(ObsTest, ChromeTraceEmptyTraceIsValid) {
   const std::string json = obs::RenderChromeTraceJson({}, 0);
-  EXPECT_TRUE(JsonChecker::Valid(json)) << json;
+  EXPECT_TRUE(ValidJson(json)) << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"dropped_spans\": \"0\""), std::string::npos);
   // Names with JSON metacharacters must render escaped, not raw.
   std::vector<obs::SpanRecord> spans;
   spans.push_back(MakeSpan(1, obs::kNoSpan, "quote\"back\\\\slash", 0, 10, 0));
   const std::string escaped = obs::RenderChromeTraceJson(spans, 0);
-  EXPECT_TRUE(JsonChecker::Valid(escaped)) << escaped;
+  EXPECT_TRUE(ValidJson(escaped)) << escaped;
+}
+
+// ---------------------------------------------------------------------------
+// JSON reader.
+
+TEST(JsonReaderTest, ParsesDocumentsInOrder) {
+  const auto doc = obs::ParseJson(
+      " {\"b\": [1, -0, 2.5e3, true, false, null], \"a\": \"x\\u00e9\\ud83d"
+      "\\ude00\\/\\n\", \"e\": {}, \"b\": []}\r\n");
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  ASSERT_TRUE(doc->is_object());
+  ASSERT_EQ(doc->object.size(), 4u);
+  EXPECT_EQ(doc->object[0].first, "b");
+  EXPECT_EQ(doc->object[1].first, "a");
+  EXPECT_EQ(doc->object[2].first, "e");
+  // A duplicated key keeps both members; Find returns the first.
+  const obs::JsonValue* b = doc->Find("b");
+  ASSERT_NE(b, nullptr);
+  ASSERT_TRUE(b->is_array());
+  ASSERT_EQ(b->array.size(), 6u);
+  EXPECT_EQ(b->array[0].NumberOr(0.0), 1.0);
+  EXPECT_TRUE(std::signbit(b->array[1].number));
+  EXPECT_EQ(b->array[2].number, 2500.0);
+  EXPECT_EQ(b->array[3].type, obs::JsonValue::Type::kBool);
+  EXPECT_TRUE(b->array[3].boolean);
+  EXPECT_FALSE(b->array[4].boolean);
+  EXPECT_EQ(b->array[5].type, obs::JsonValue::Type::kNull);
+  EXPECT_EQ(b->array[5].NumberOr(-1.0), -1.0);
+  // \u escapes decode to UTF-8, a surrogate pair to one code point.
+  EXPECT_EQ(doc->Find("a")->string, "x\xc3\xa9\xf0\x9f\x98\x80/\n");
+  EXPECT_TRUE(doc->Find("e")->is_object());
+  EXPECT_EQ(doc->Find("missing"), nullptr);
+  EXPECT_EQ(b->Find("b"), nullptr);  // Not an object.
+}
+
+TEST(JsonReaderTest, RejectsEverythingOutsideTheGrammar) {
+  const std::vector<std::string> bad = {
+      // Empty input, bad literals, trailing bytes.
+      "", " ", "tru", "nul", "True", "NaN", "Infinity", "-Infinity", "{} x",
+      "1 2", "[]]", "\"a\"\"b\"", std::string("1\0", 2),
+      // Numbers outside the grammar or the double range.
+      "+1", ".5", "1.", "1e", "1e+", "1.e5", "01", "-", "-01", "1-2e+",
+      "1e999",
+      // Strings: bad escapes, raw control characters, bad \u, unterminated.
+      "\"\\x\"", "\"\\q\"", "\"\\", "\"a\x01" "b\"", "\"a\nb\"", "\"a\tb\"",
+      "\"abc", "[\"a\\\"]", "\"\\u12G4\"", "\"\\u12\"", "\"\\u-123\"",
+      "\"\\u+123\"", "\"\\ud800\"", "\"\\udc00\"", "\"\\ud800\\u0041\"",
+      // Structure.
+      "[1,]", "[1 2]", "{\"a\":1,}", "{\"a\"}", "{1:2}", "{\"a\" 1}"};
+  for (const std::string& text : bad) {
+    const auto doc = obs::ParseJson(text);
+    ASSERT_FALSE(doc.ok()) << "accepted: " << text;
+    EXPECT_EQ(doc.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(doc.status().message().find("at byte"), std::string::npos)
+        << doc.status();
+  }
+  EXPECT_NE(obs::ParseJson("[1, x]").status().message().find("at byte 4"),
+            std::string::npos);
+}
+
+TEST(JsonReaderTest, CapsNestingDepthWithoutCrashing) {
+  auto nested = [](int depth, const char* open, const char* close) {
+    std::string text;
+    for (int i = 0; i < depth; ++i) text += open;
+    text += "1";
+    for (int i = 0; i < depth; ++i) text += close;
+    return text;
+  };
+  EXPECT_TRUE(obs::ParseJson(nested(obs::kMaxJsonDepth, "[", "]")).ok());
+  EXPECT_TRUE(obs::ParseJson(nested(obs::kMaxJsonDepth, "{\"a\":", "}")).ok());
+  EXPECT_FALSE(obs::ParseJson(nested(obs::kMaxJsonDepth + 1, "[", "]")).ok());
+  EXPECT_FALSE(
+      obs::ParseJson(nested(obs::kMaxJsonDepth + 1, "{\"a\":", "}")).ok());
+  EXPECT_FALSE(obs::ParseJson(nested(100000, "[", "]")).ok());
+  EXPECT_FALSE(obs::ParseJson(nested(100000, "{\"a\":[", "]}")).ok());
+  EXPECT_FALSE(obs::ParseJson(std::string(2000000, '[')).ok());
+}
+
+TEST(JsonReaderTest, WriterStringsRoundTripEveryByte) {
+  std::string all;
+  for (int b = 0; b < 256; ++b) {
+    const std::string name = {'n', static_cast<char>(b), 'e'};
+    all += name;
+    std::string json;
+    obs::internal::AppendJsonString(&json, name);
+    const auto doc = obs::ParseJson(json);
+    ASSERT_TRUE(doc.ok()) << "byte " << b << ": " << doc.status();
+    EXPECT_EQ(doc->string, name) << "byte " << b;
+  }
+  std::string json;
+  obs::internal::AppendJsonString(&json, all);
+  const auto doc = obs::ParseJson(json);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  EXPECT_EQ(doc->string, all);
+}
+
+TEST(JsonReaderTest, WriterDoublesRoundTripBitEqual) {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                std::numeric_limits<double>::denorm_min(),
+                                -3.5e-310,
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::lowest(),
+                                0.1,
+                                1.0 / 3.0,
+                                123456789.123456789,
+                                -2.5e-7};
+  Rng rng(17);
+  while (values.size() < 2000) {
+    const std::uint64_t bits = rng.NextUint64();
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  for (const double v : values) {
+    std::string json;
+    obs::internal::AppendJsonDouble(&json, v);
+    const auto doc = obs::ParseJson(json);
+    ASSERT_TRUE(doc.ok()) << json << ": " << doc.status();
+    ASSERT_TRUE(doc->is_number()) << json;
+    std::uint64_t want, got;
+    std::memcpy(&want, &v, sizeof(v));
+    std::memcpy(&got, &doc->number, sizeof(v));
+    EXPECT_EQ(got, want) << json;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -475,17 +592,28 @@ TEST_F(ObsTest, RunReportJsonRoundTrips) {
 
   const obs::BudgetAudit audit = obs::AuditFrom(result->budget);
   const std::string json = obs::RenderRunReportJson(&audit);
-  ASSERT_TRUE(JsonChecker::Valid(json)) << json.substr(0, 400);
+  const auto parsed = obs::ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << json.substr(0, 400);
 
   // The audit must carry the full charge log and sum to options.epsilon.
   EXPECT_NEAR(audit.spent, options.epsilon, 1e-9);
   double entry_sum = 0.0;
   for (const auto& entry : audit.entries) entry_sum += entry.epsilon;
   EXPECT_NEAR(entry_sum, options.epsilon, 1e-9);
-  const std::size_t entries_pos = json.find("\"entries\"");
-  ASSERT_NE(entries_pos, std::string::npos);
-  EXPECT_NEAR(SumNumbersForKey(json, "epsilon", entries_pos),
-              options.epsilon, 1e-9);
+  const obs::JsonValue* budget = parsed->Find("budget");
+  ASSERT_NE(budget, nullptr);
+  const obs::JsonValue* entries = budget->Find("entries");
+  ASSERT_NE(entries, nullptr);
+  ASSERT_TRUE(entries->is_array());
+  ASSERT_EQ(entries->array.size(), audit.entries.size());
+  double json_sum = 0.0;
+  for (const obs::JsonValue& entry : entries->array) {
+    const obs::JsonValue* epsilon = entry.Find("epsilon");
+    ASSERT_NE(epsilon, nullptr);
+    ASSERT_TRUE(epsilon->is_number());
+    json_sum += epsilon->number;
+  }
+  EXPECT_NEAR(json_sum, options.epsilon, 1e-9);
 
 #if DPCOPULA_OBS_ENABLED
   // Phase spans from the pipeline.
@@ -517,7 +645,7 @@ TEST_F(ObsTest, RunReportJsonRoundTrips) {
 
   // Null audit must also render valid JSON (eval / sample-only modes).
   const std::string no_budget = obs::RenderRunReportJson(nullptr);
-  EXPECT_TRUE(JsonChecker::Valid(no_budget));
+  EXPECT_TRUE(ValidJson(no_budget));
   EXPECT_EQ(no_budget.find("\"budget\""), std::string::npos);
 }
 

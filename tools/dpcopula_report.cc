@@ -1,256 +1,69 @@
 // dpcopula_report — merges observability artifacts into one markdown
-// performance report.
+// performance report, and maintains the committed bench ledgers.
 //
-//   dpcopula_report --bench BENCH_sampler.json --bench BENCH_kendall.json
-//                   --run-report report.json --out docs/PERF_REPORT.md
-//   (one command line; wrapped here for width)
+//   dpcopula_report [--bench LEDGER.json]... [--run-report REPORT.json]...
+//                   [--out PATH (default docs/PERF_REPORT.md)]
+//   dpcopula_report ingest --in GBENCH.json --out LEDGER.json
+//                   [--label L] [--check]
 //
-// Inputs:
-//   --bench PATH       a bench_to_json ledger ({"runs":[{label, benchmarks:
-//                      [{name, rows_per_sec, real_time_ms}]}]}); repeatable.
-//                      The first run is the committed baseline, the last is
-//                      "current"; regressions beyond 20% are flagged.
-//   --run-report PATH  a dpcopula/dpcopula_eval --trace-json run report
-//                      (version >= 2); repeatable. Contributes per-stage
-//                      percentile tables, profile gauges (peak RSS, hardware
-//                      counters), counters, and the budget audit.
-//   --out PATH         output markdown (default docs/PERF_REPORT.md).
+// A ledger is {"runs":[{label, benchmarks:[{name, rows_per_sec,
+// real_time_ms}]}]}; its first run is the committed baseline. The report
+// compares each ledger's last run with its first, flagging drops beyond
+// 20%, and renders the per-stage percentile tables, profile gauges and
+// budget audit of each --trace-json run report (version >= 2). It exits 1
+// on unreadable or malformed input (a report built from half the artifacts
+// is worse than none) and 3 when a ledger regressed.
 //
-// Exits non-zero on unreadable or malformed input: a report silently built
-// from half the artifacts is worse than no report.
-#include <algorithm>
-#include <cctype>
+// `ingest` appends a run: --label plus one row per benchmark of the
+// google-benchmark JSON report --in that set items_per_second. With
+// --check, a row more than 20% below the same name in the first run fails.
+// Exits 0 ok, 1 regression, 2 usage, I/O or malformed input; an existing
+// ledger that does not parse is left untouched, only a missing one seeded.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
-#include <map>
-#include <memory>
-#include <sstream>
+#include <iostream>
+#include <iterator>
+#include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
+
+#include "common/atomic_file.h"
+#include "common/result.h"
+#include "common/status.h"
+#include "obs/json_reader.h"
+#include "obs/json_writer.h"
 
 namespace {
 
-// --- Minimal JSON value + recursive-descent parser -----------------------
-//
-// The tool consumes only documents this repo itself writes, so the parser
-// favors smallness over completeness: no \uXXXX decoding beyond pass-through
-// and no streaming. Objects keep insertion order via a vector of pairs so
-// tables render in the order the producer emitted them.
+using dpcopula::Result;
+using dpcopula::Status;
+using dpcopula::StatusCode;
+using dpcopula::obs::JsonValue;
 
-struct JsonValue;
-using JsonObject = std::vector<std::pair<std::string, JsonValue>>;
-using JsonArray = std::vector<JsonValue>;
+/// Reads a whole file; NotFound only when nothing exists at `path`.
+Result<std::string> ReadFile(const std::string& path) {
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec) && !ec) {
+    return Status::NotFound(path + ": no such file");
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::string text(std::istreambuf_iterator<char>(in), {});
+  if (!in.is_open() || in.bad()) return Status::IOError("cannot read " + path);
+  return text;
+}
 
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::shared_ptr<JsonArray> array;
-  std::shared_ptr<JsonObject> object;
-
-  const JsonValue* Find(const std::string& key) const {
-    if (type != Type::kObject) return nullptr;
-    for (const auto& [k, v] : *object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
+Result<JsonValue> LoadJson(const std::string& path) {
+  Result<std::string> text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  Result<JsonValue> json = dpcopula::obs::ParseJson(*text);
+  if (!json.ok()) {
+    return Status::InvalidArgument(path + ": " + json.status().message());
   }
-  double NumberOr(double fallback) const {
-    return type == Type::kNumber ? number : fallback;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  bool Parse(JsonValue* out) {
-    SkipWs();
-    if (!ParseValue(out)) return false;
-    SkipWs();
-    return pos_ == s_.size();
-  }
-
- private:
-  void SkipWs() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-  bool Literal(const char* lit) {
-    const std::size_t n = std::strlen(lit);
-    if (s_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-  bool ParseValue(JsonValue* out) {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
-      case '"':
-        out->type = JsonValue::Type::kString;
-        return ParseString(&out->string);
-      case 't':
-        out->type = JsonValue::Type::kBool;
-        out->boolean = true;
-        return Literal("true");
-      case 'f':
-        out->type = JsonValue::Type::kBool;
-        out->boolean = false;
-        return Literal("false");
-      case 'n':
-        out->type = JsonValue::Type::kNull;
-        return Literal("null");
-      default:
-        return ParseNumber(out);
-    }
-  }
-  bool ParseString(std::string* out) {
-    if (s_[pos_] != '"') return false;
-    ++pos_;
-    out->clear();
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= s_.size()) return false;
-        const char esc = s_[pos_++];
-        switch (esc) {
-          case 'n':
-            c = '\n';
-            break;
-          case 't':
-            c = '\t';
-            break;
-          case 'r':
-            c = '\r';
-            break;
-          case 'b':
-            c = '\b';
-            break;
-          case 'f':
-            c = '\f';
-            break;
-          case 'u':
-            // Pass the escape through untouched; report content is ASCII.
-            if (pos_ + 4 > s_.size()) return false;
-            out->append("\\u").append(s_, pos_, 4);
-            pos_ += 4;
-            continue;
-          default:
-            c = esc;  // ", \, /
-        }
-      }
-      out->push_back(c);
-    }
-    if (pos_ >= s_.size()) return false;
-    ++pos_;  // Closing quote.
-    return true;
-  }
-  bool ParseNumber(JsonValue* out) {
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    try {
-      out->number = std::stod(s_.substr(start, pos_ - start));
-    } catch (...) {
-      return false;
-    }
-    out->type = JsonValue::Type::kNumber;
-    return true;
-  }
-  bool ParseArray(JsonValue* out) {
-    ++pos_;  // '['
-    out->type = JsonValue::Type::kArray;
-    out->array = std::make_shared<JsonArray>();
-    SkipWs();
-    if (pos_ < s_.size() && s_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      JsonValue v;
-      SkipWs();
-      if (!ParseValue(&v)) return false;
-      out->array->push_back(std::move(v));
-      SkipWs();
-      if (pos_ >= s_.size()) return false;
-      if (s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (s_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-  bool ParseObject(JsonValue* out) {
-    ++pos_;  // '{'
-    out->type = JsonValue::Type::kObject;
-    out->object = std::make_shared<JsonObject>();
-    SkipWs();
-    if (pos_ < s_.size() && s_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      std::string key;
-      if (pos_ >= s_.size() || !ParseString(&key)) return false;
-      SkipWs();
-      if (pos_ >= s_.size() || s_[pos_] != ':') return false;
-      ++pos_;
-      SkipWs();
-      JsonValue v;
-      if (!ParseValue(&v)) return false;
-      out->object->emplace_back(std::move(key), std::move(v));
-      SkipWs();
-      if (pos_ >= s_.size()) return false;
-      if (s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (s_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-bool LoadJsonFile(const std::string& path, JsonValue* out) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "dpcopula_report: cannot open %s\n", path.c_str());
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  if (!JsonParser(text).Parse(out)) {
-    std::fprintf(stderr, "dpcopula_report: malformed JSON in %s\n",
-                 path.c_str());
-    return false;
-  }
-  return true;
+  return json;
 }
 
 // --- Formatting ----------------------------------------------------------
@@ -300,80 +113,169 @@ std::string FormatCount(double v) {
 }
 
 // --- Bench ledgers -------------------------------------------------------
+//
+// The only code that knows the ledger format: ingest appends runs and
+// gates on the first, the report compares the last run with the first.
 
+/// A rate more than this fraction below its baseline is a regression, for
+/// the ingest gate and the report's flag alike.
 constexpr double kRegressionThreshold = 0.20;
 
-/// Renders one ledger's baseline-vs-current table. Returns false on a
-/// structurally invalid ledger.
-bool AppendBenchSection(const std::string& path, const JsonValue& ledger,
-                        std::string* out, int* regressions) {
-  const JsonValue* runs = ledger.Find("runs");
-  if (runs == nullptr || runs->type != JsonValue::Type::kArray ||
-      runs->array->empty()) {
-    std::fprintf(stderr, "dpcopula_report: %s has no runs\n", path.c_str());
-    return false;
-  }
-  const JsonValue& baseline = runs->array->front();
-  const JsonValue& current = runs->array->back();
-  const bool has_delta = runs->array->size() > 1;
+struct BenchRow {
+  std::string name;
+  double rows_per_sec = 0.0;
+  double real_time_ms = 0.0;
+};
 
-  auto label_of = [](const JsonValue& run) {
-    const JsonValue* l = run.Find("label");
-    return (l != nullptr && l->type == JsonValue::Type::kString) ? l->string
-                                                                 : "?";
+struct Run {
+  std::string label;
+  std::vector<BenchRow> rows;
+};
+
+const BenchRow* FindRow(const Run& run, const std::string& name) {
+  for (const BenchRow& row : run.rows) {
+    if (row.name == name) return &row;
+  }
+  return nullptr;
+}
+
+/// `row`'s relative rate change against `base`, or nullopt when there is
+/// no positive baseline rate.
+std::optional<double> Change(const BenchRow* base, const BenchRow& row) {
+  if (base == nullptr || base->rows_per_sec <= 0.0) return std::nullopt;
+  return row.rows_per_sec / base->rows_per_sec - 1.0;
+}
+
+bool IsRegression(double change) { return change < -kRegressionThreshold; }
+
+/// Loads the ledger at `path`: a non-empty "runs" array whose every run
+/// has a string label and a "benchmarks" array of complete rows. NotFound
+/// only when there is no file.
+Result<std::vector<Run>> LoadLedger(const std::string& path) {
+  const Result<JsonValue> ledger = LoadJson(path);
+  if (!ledger.ok()) return ledger.status();
+  auto invalid = [&path](const char* what) {
+    return Status::InvalidArgument(path + ": " + what);
   };
-  std::map<std::string, double> baseline_rate;
-  if (const JsonValue* b = baseline.Find("benchmarks");
-      b != nullptr && b->type == JsonValue::Type::kArray) {
-    for (const JsonValue& bench : *b->array) {
+  const JsonValue* runs = ledger->Find("runs");
+  if (runs == nullptr || !runs->is_array() || runs->array.empty()) {
+    return invalid("ledger has no runs");
+  }
+  std::vector<Run> parsed;
+  for (const JsonValue& run : runs->array) {
+    const JsonValue* label = run.Find("label");
+    const JsonValue* benches = run.Find("benchmarks");
+    if (label == nullptr || !label->is_string() || benches == nullptr ||
+        !benches->is_array()) {
+      return invalid("ledger run lacks label or benchmarks");
+    }
+    Run& out = parsed.emplace_back();
+    out.label = label->string;
+    for (const JsonValue& bench : benches->array) {
       const JsonValue* name = bench.Find("name");
       const JsonValue* rate = bench.Find("rows_per_sec");
-      if (name == nullptr || rate == nullptr) continue;
-      baseline_rate[name->string] = rate->NumberOr(0.0);
+      const JsonValue* ms = bench.Find("real_time_ms");
+      if (name == nullptr || !name->is_string() || rate == nullptr ||
+          !rate->is_number() || ms == nullptr || !ms->is_number()) {
+        return invalid("ledger row lacks name, rows_per_sec or real_time_ms");
+      }
+      out.rows.push_back({name->string, rate->number, ms->number});
     }
   }
+  return parsed;
+}
+
+std::string RenderLedger(const std::vector<Run>& runs) {
+  using dpcopula::obs::internal::AppendJsonString;
+  auto number = [](double v) {
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.15g", v);
+    return std::string(buf);
+  };
+  std::string out = "{\n  \"runs\": [\n";
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    out += "    {\n      \"label\": ";
+    AppendJsonString(&out, runs[r].label);
+    out += ",\n      \"benchmarks\": [\n";
+    const auto& rows = runs[r].rows;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      out += "        {\"name\": ";
+      AppendJsonString(&out, rows[i].name);
+      out += ", \"rows_per_sec\": " + number(rows[i].rows_per_sec) +
+             ", \"real_time_ms\": " + number(rows[i].real_time_ms) + "}" +
+             (i + 1 < rows.size() ? "," : "") + "\n";
+    }
+    out += std::string("      ]\n    }") + (r + 1 < runs.size() ? "," : "") +
+           "\n";
+  }
+  out += "  ]\n}\n";
+  return out;
+}
+
+/// The rows of a google-benchmark JSON report: every entry that reported
+/// items_per_second, aggregates (_mean/_stddev, run_type "aggregate")
+/// excluded.
+std::vector<BenchRow> ParseGoogleBenchmark(const JsonValue& report) {
+  std::vector<BenchRow> rows;
+  const JsonValue* benches = report.Find("benchmarks");
+  if (benches == nullptr) return rows;
+  for (const JsonValue& bench : benches->array) {
+    const JsonValue* name = bench.Find("name");
+    const JsonValue* ips = bench.Find("items_per_second");
+    const JsonValue* run_type = bench.Find("run_type");
+    if (name == nullptr || !name->is_string() || ips == nullptr ||
+        !ips->is_number()) {
+      continue;
+    }
+    if (run_type != nullptr && run_type->string != "iteration") continue;
+    BenchRow& row = rows.emplace_back();
+    row.name = name->string;
+    row.rows_per_sec = ips->number;
+    if (const JsonValue* rt = bench.Find("real_time"); rt != nullptr) {
+      const JsonValue* unit = bench.Find("time_unit");
+      const std::string time_unit = unit != nullptr ? unit->string : "ms";
+      row.real_time_ms = rt->NumberOr(0.0);
+      if (time_unit == "ns") row.real_time_ms /= 1e6;
+      if (time_unit == "us") row.real_time_ms /= 1e3;
+      if (time_unit == "s") row.real_time_ms *= 1e3;
+    }
+  }
+  return rows;
+}
+
+/// Renders one ledger's baseline-vs-current table.
+void AppendBenchSection(const std::string& path, const std::vector<Run>& runs,
+                        std::string* out, int* regressions) {
+  const Run& baseline = runs.front();
+  const Run& current = runs.back();
+  const bool has_delta = runs.size() > 1;
 
   *out += "### `" + path + "`\n\n";
-  *out += "Baseline `" + label_of(baseline) + "` vs current `" +
-          label_of(current) + "` (" + std::to_string(runs->array->size()) +
-          " runs recorded).\n\n";
+  *out += "Baseline `" + baseline.label + "` vs current `" + current.label +
+          "` (" + std::to_string(runs.size()) + " runs recorded).\n\n";
   *out +=
       "| benchmark | baseline rows/s | current rows/s | delta | time (ms) "
       "|\n|---|---:|---:|---:|---:|\n";
-
-  const JsonValue* benches = current.Find("benchmarks");
-  if (benches == nullptr || benches->type != JsonValue::Type::kArray) {
-    std::fprintf(stderr, "dpcopula_report: %s run has no benchmarks\n",
-                 path.c_str());
-    return false;
-  }
-  for (const JsonValue& bench : *benches->array) {
-    const JsonValue* name = bench.Find("name");
-    const JsonValue* rate = bench.Find("rows_per_sec");
-    const JsonValue* ms = bench.Find("real_time_ms");
-    if (name == nullptr || rate == nullptr) continue;
-    const double cur = rate->NumberOr(0.0);
-    const auto base_it = baseline_rate.find(name->string);
+  for (const BenchRow& row : current.rows) {
+    const BenchRow* base = FindRow(baseline, row.name);
+    const std::optional<double> change = Change(base, row);
     std::string delta = "n/a";
-    if (has_delta && base_it != baseline_rate.end() &&
-        base_it->second > 0.0) {
-      const double rel = cur / base_it->second - 1.0;
+    if (has_delta && change) {
       char buf[48];
-      std::snprintf(buf, sizeof(buf), "%+.1f%%", 100.0 * rel);
+      std::snprintf(buf, sizeof(buf), "%+.1f%%", 100.0 * *change);
       delta = buf;
-      if (rel < -kRegressionThreshold) {
+      if (IsRegression(*change)) {
         delta += " **REGRESSION**";
         ++*regressions;
       }
     }
-    *out += "| `" + name->string + "` | " +
-            (base_it != baseline_rate.end() ? FormatCount(base_it->second)
-                                            : std::string("n/a")) +
-            " | " + FormatCount(cur) + " | " + delta + " | " +
-            (ms != nullptr ? FormatCount(ms->NumberOr(0.0)) : "n/a") + " |\n";
+    *out += "| `" + row.name + "` | " +
+            (base != nullptr ? FormatCount(base->rows_per_sec)
+                             : std::string("n/a")) +
+            " | " + FormatCount(row.rows_per_sec) + " | " + delta + " | " +
+            FormatCount(row.real_time_ms) + " |\n";
   }
   *out += "\n";
-  return true;
 }
 
 // --- Run reports ---------------------------------------------------------
@@ -404,8 +306,8 @@ bool AppendRunReportSection(const std::string& path, const JsonValue& report,
       "|\n|---|---:|---:|---:|---:|---:|---:|---:|\n";
   double stage_total_seconds = 0.0;
   if (histograms != nullptr &&
-      histograms->type == JsonValue::Type::kObject) {
-    for (const auto& [name, h] : *histograms->object) {
+      histograms->is_object()) {
+    for (const auto& [name, h] : histograms->object) {
       constexpr const char* kPrefix = "profile.";
       constexpr const char* kSuffix = "_seconds";
       if (name.rfind(kPrefix, 0) != 0) continue;
@@ -440,7 +342,7 @@ bool AppendRunReportSection(const std::string& path, const JsonValue& report,
 
   // Profile gauges: peak RSS + hardware counters.
   if (const JsonValue* gauges = metrics->Find("gauges");
-      gauges != nullptr && gauges->type == JsonValue::Type::kObject) {
+      gauges != nullptr && gauges->is_object()) {
     const JsonValue* rss = gauges->Find("profile.peak_rss_bytes");
     if (rss != nullptr && rss->NumberOr(0.0) > 0.0) {
       *out += "Peak RSS: " + FormatBytes(rss->number) + ".\n";
@@ -489,52 +391,127 @@ bool AppendRunReportSection(const std::string& path, const JsonValue& report,
     *out += buf;
     const JsonValue* entries = budget->Find("entries");
     const std::size_t n =
-        (entries != nullptr && entries->type == JsonValue::Type::kArray)
-            ? entries->array->size()
+        (entries != nullptr && entries->is_array())
+            ? entries->array.size()
             : 0;
     *out += std::to_string(n) + " mechanism charges.\n\n";
   }
   return true;
 }
 
+int Usage() {
+  std::fprintf(stderr,
+               "usage: dpcopula_report [--bench LEDGER.json]... "
+               "[--run-report REPORT.json]... [--out PATH]\n"
+               "       dpcopula_report ingest --in GBENCH.json --out "
+               "LEDGER.json [--label L] [--check]\n");
+  return 2;
+}
+
+/// `dpcopula_report ingest ...`: argv[0] is "ingest".
+int Ingest(int argc, char** argv) {
+  std::string in_path, out_path, label = "local";
+  bool check = false;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--in" && i + 1 < argc) {
+      in_path = argv[++i];
+    } else if (arg == "--out" && i + 1 < argc) {
+      out_path = argv[++i];
+    } else if (arg == "--label" && i + 1 < argc) {
+      label = argv[++i];
+    } else if (arg == "--check") {
+      check = true;
+    } else {
+      return Usage();
+    }
+  }
+  if (in_path.empty() || out_path.empty()) return Usage();
+
+  const Result<JsonValue> report = LoadJson(in_path);
+  if (!report.ok()) {
+    std::cerr << "dpcopula_report ingest: " << report.status().message()
+              << "\n";
+    return 2;
+  }
+  Run fresh{label, ParseGoogleBenchmark(*report)};
+  if (fresh.rows.empty()) {
+    std::cerr << "dpcopula_report ingest: no benchmarks with "
+                 "items_per_second in "
+              << in_path << "\n";
+    return 2;
+  }
+
+  std::vector<Run> runs;
+  Result<std::vector<Run>> existing = LoadLedger(out_path);
+  if (existing.ok()) {
+    runs = std::move(*existing);
+  } else if (existing.status().code() != StatusCode::kNotFound) {
+    std::cerr << "dpcopula_report ingest: " << existing.status().message()
+              << "; left untouched\n";
+    return 2;
+  }
+
+  int failures = 0;
+  if (check && !runs.empty()) {
+    const Run& baseline = runs.front();
+    for (const BenchRow& row : fresh.rows) {
+      const BenchRow* base = FindRow(baseline, row.name);
+      const std::optional<double> change = Change(base, row);
+      if (!change) continue;
+      if (IsRegression(*change)) {
+        std::cerr << "REGRESSION " << row.name << ": " << row.rows_per_sec
+                  << " rows/s vs baseline " << base->rows_per_sec << " (drop "
+                  << static_cast<int>(std::lround(-*change * 100.0))
+                  << "% > "
+                  << static_cast<int>(std::lround(kRegressionThreshold * 100))
+                  << "%)\n";
+        ++failures;
+      } else {
+        std::cout << "ok " << row.name << ": " << row.rows_per_sec
+                  << " rows/s (baseline " << base->rows_per_sec << ")\n";
+      }
+    }
+  } else if (check) {
+    std::cout << "dpcopula_report ingest: no baseline yet; ledger seeded, "
+                 "not checked\n";
+  }
+
+  runs.push_back(std::move(fresh));
+  const std::string rendered = RenderLedger(runs);
+  const Status status = dpcopula::WriteFileAtomic(
+      out_path, [&](std::ostream& out) -> Status {
+        out << rendered;
+        return Status::OK();
+      });
+  if (!status.ok()) {
+    std::cerr << "dpcopula_report ingest: " << status.message() << "\n";
+    return 2;
+  }
+  std::cout << "wrote " << out_path << " (" << runs.size() << " run"
+            << (runs.size() == 1 ? "" : "s") << ")\n";
+  return failures == 0 ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc > 1 && std::strcmp(argv[1], "ingest") == 0) {
+    return Ingest(argc - 1, argv + 1);
+  }
   std::vector<std::string> bench_paths;
   std::vector<std::string> report_paths;
   std::string out_path = "docs/PERF_REPORT.md";
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      return (i + 1 < argc) ? argv[++i] : nullptr;
-    };
-    if (flag == "--bench") {
-      const char* v = next();
-      if (!v) {
-        std::fprintf(stderr, "--bench needs a path\n");
-        return 2;
-      }
-      bench_paths.push_back(v);
-    } else if (flag == "--run-report") {
-      const char* v = next();
-      if (!v) {
-        std::fprintf(stderr, "--run-report needs a path\n");
-        return 2;
-      }
-      report_paths.push_back(v);
-    } else if (flag == "--out") {
-      const char* v = next();
-      if (!v) {
-        std::fprintf(stderr, "--out needs a path\n");
-        return 2;
-      }
-      out_path = v;
+    if (flag == "--bench" && i + 1 < argc) {
+      bench_paths.push_back(argv[++i]);
+    } else if (flag == "--run-report" && i + 1 < argc) {
+      report_paths.push_back(argv[++i]);
+    } else if (flag == "--out" && i + 1 < argc) {
+      out_path = argv[++i];
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--bench LEDGER.json]... "
-                   "[--run-report REPORT.json]... [--out PATH]\n",
-                   argv[0]);
-      return 2;
+      return Usage();
     }
   }
   if (bench_paths.empty() && report_paths.empty()) {
@@ -547,7 +524,7 @@ int main(int argc, char** argv) {
   std::string out;
   out += "# Performance report\n\n";
   out += "Regenerated by `dpcopula_report`; do not edit by hand. Inputs: "
-         "bench ledgers from `bench_to_json`, run reports from "
+         "bench ledgers from `dpcopula_report ingest`, run reports from "
          "`dpcopula --trace-json --profile`.\n\n";
 
   int regressions = 0;
@@ -558,17 +535,25 @@ int main(int argc, char** argv) {
            std::to_string(static_cast<int>(100 * kRegressionThreshold)) +
            "% are flagged.\n\n";
     for (const std::string& path : bench_paths) {
-      JsonValue ledger;
-      if (!LoadJsonFile(path, &ledger)) return 1;
-      if (!AppendBenchSection(path, ledger, &out, &regressions)) return 1;
+      const Result<std::vector<Run>> runs = LoadLedger(path);
+      if (!runs.ok()) {
+        std::fprintf(stderr, "dpcopula_report: %s\n",
+                     runs.status().message().c_str());
+        return 1;
+      }
+      AppendBenchSection(path, *runs, &out, &regressions);
     }
   }
   if (!report_paths.empty()) {
     out += "## Instrumented runs\n\n";
     for (const std::string& path : report_paths) {
-      JsonValue report;
-      if (!LoadJsonFile(path, &report)) return 1;
-      if (!AppendRunReportSection(path, report, &out)) return 1;
+      const Result<JsonValue> report = LoadJson(path);
+      if (!report.ok()) {
+        std::fprintf(stderr, "dpcopula_report: %s\n",
+                     report.status().message().c_str());
+        return 1;
+      }
+      if (!AppendRunReportSection(path, *report, &out)) return 1;
     }
   }
   if (regressions > 0) {
@@ -576,17 +561,13 @@ int main(int argc, char** argv) {
            " benchmark(s) regressed beyond the threshold.**\n";
   }
 
-  std::ofstream f(out_path);
-  if (!f) {
-    std::fprintf(stderr, "dpcopula_report: cannot write %s\n",
-                 out_path.c_str());
-    return 1;
-  }
-  f << out;
-  f.close();
-  if (!f) {
-    std::fprintf(stderr, "dpcopula_report: write failed for %s\n",
-                 out_path.c_str());
+  const Status written = dpcopula::WriteFileAtomic(
+      out_path, [&](std::ostream& f) -> Status {
+        f << out;
+        return Status::OK();
+      });
+  if (!written.ok()) {
+    std::fprintf(stderr, "dpcopula_report: %s\n", written.message().c_str());
     return 1;
   }
   std::fprintf(stderr, "dpcopula_report: wrote %s (%d regression(s))\n",
